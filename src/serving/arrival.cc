@@ -29,16 +29,23 @@ arrivalKindName(ArrivalKind kind)
 void
 ArrivalConfig::check() const
 {
-    if (kind != ArrivalKind::ClosedLoop && ratePerSec <= 0.0)
-        fatal("arrival rate must be positive");
+    // Non-finite values compare false against every bound, so they
+    // are rejected by name before the range checks.
+    if (kind != ArrivalKind::ClosedLoop &&
+        (!std::isfinite(ratePerSec) || ratePerSec <= 0.0))
+        fatal("arrival rate must be positive and finite, got ",
+              ratePerSec);
     if (kind == ArrivalKind::Bursty &&
-        (meanOnSec <= 0.0 || meanOffSec < 0.0)) {
-        fatal("bursty phases need meanOnSec > 0 and meanOffSec >= 0");
+        (!std::isfinite(meanOnSec) || !std::isfinite(meanOffSec) ||
+         meanOnSec <= 0.0 || meanOffSec < 0.0)) {
+        fatal("bursty phases need finite meanOnSec > 0 and "
+              "meanOffSec >= 0, got ", meanOnSec, " and ", meanOffSec);
     }
     if (kind == ArrivalKind::ClosedLoop && clients < 1)
         fatal("closed loop needs at least one client");
-    if (thinkSec < 0.0)
-        fatal("think time cannot be negative");
+    if (!std::isfinite(thinkSec) || thinkSec < 0.0)
+        fatal("think time must be finite and non-negative, got ",
+              thinkSec);
 }
 
 ArrivalProcess::ArrivalProcess(const ArrivalConfig &config,

@@ -46,6 +46,9 @@ ServingConfig::check() const
     batching.check();
     if (chips < 1)
         fatal("serving needs at least one chip");
+    if (chips > kMaxServingChips)
+        fatal("serving supports at most ", kMaxServingChips,
+              " chips, got ", chips);
     if (requests < 1)
         fatal("serving needs at least one request");
     if (pipelineStages < 1)
@@ -363,33 +366,20 @@ ServingSimulator::run()
         }
     };
 
-    // Dispatch target for a new or re-enqueued request. Only when a
-    // chip is actually quarantined does the health mask exist, so a
-    // fault-free run drives the dispatcher exactly as before.
+    // Dispatch target for a new or re-enqueued request. With no
+    // healthy target left the run would have to "serve" from
+    // known-bad hardware, so it stops instead.
     const auto pick_target = [&]() {
-        std::vector<int> outstanding(n_targets);
-        for (int i = 0; i < n_targets; ++i)
-            outstanding[i] = chips[i].outstanding();
-        if (quarantined_count > 0) {
-            // With no healthy chip left, Dispatcher::pick would fall
-            // back to dispatching onto a quarantined chip and the
-            // run would silently "serve" from known-bad hardware.
-            if (quarantined_count >= n_targets) {
-                fatal("all ", n_targets,
-                      pipelined     ? " pipeline group(s)"
-                      : replicated  ? " replica group(s)"
-                                    : " chip(s)",
-                      " quarantined: no "
-                      "healthy dispatch target remains (permanent "
-                      "faults exceeded the cluster's redundancy)");
-            }
-            std::vector<char> healthy((std::size_t)n_targets);
-            for (int i = 0; i < n_targets; ++i)
-                healthy[(std::size_t)i] =
-                    chips[i].quarantined ? 0 : 1;
-            return dispatcher.pick(outstanding, healthy);
+        if (quarantined_count >= n_targets) {
+            fatal("all ", n_targets,
+                  pipelined     ? " pipeline group(s)"
+                  : replicated  ? " replica group(s)"
+                                : " chip(s)",
+                  " quarantined: no "
+                  "healthy dispatch target remains (permanent "
+                  "faults exceeded the cluster's redundancy)");
         }
-        return dispatcher.pick(outstanding);
+        return dispatcher.pick();
     };
 
     // Put a batch in service. Fault-free, the service-time guards
@@ -480,9 +470,13 @@ ServingSimulator::run()
     };
 
     // Launch a batch on an idle chip when its queue allows; otherwise
-    // arm the queue's next timeout deadline.
+    // arm the queue's next timeout deadline. Every push, completion
+    // and kill on a target is followed by a try_launch on it, and a
+    // launch only moves requests from queue to flight, so reporting
+    // the load here keeps the dispatcher's view exact.
     const auto try_launch = [&](int index) {
         Chip &chip = chips[index];
+        dispatcher.setLoad(index, chip.outstanding());
         if (chip.busy || !chip.queue.launchable(clock)) {
             const double deadline = chip.queue.nextDeadlineSec();
             if (!chip.busy && deadline > clock &&
@@ -877,6 +871,7 @@ ServingSimulator::run()
                 break;
             chip.quarantined = true;
             ++quarantined_count;
+            dispatcher.quarantine(event.chip);
             // A quarantined group takes all G of its chips out.
             for (int c = event.chip * G; c < (event.chip + 1) * G;
                  ++c) {

@@ -44,6 +44,13 @@
 namespace supernpu {
 namespace serving {
 
+/**
+ * Largest chip count a serving run accepts. Per-chip simulator,
+ * dispatcher and metrics state is allocated up front, so an
+ * unbounded count would exhaust memory before the run starts.
+ */
+constexpr int kMaxServingChips = 1 << 20;
+
 /** Full description of one serving experiment. */
 struct ServingConfig
 {
@@ -100,7 +107,7 @@ struct ServingConfig
     /** What the serving layer does about detected faults. */
     ResilienceConfig resilience;
 
-    /** Panics when malformed. */
+    /** Exits through fatal() when malformed. */
     void check() const;
 };
 

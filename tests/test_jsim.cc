@@ -475,6 +475,9 @@ struct AndFixture
 struct AndCase
 {
     bool a, b;
+    // gtest names each case after the bytes of its parameter, so the
+    // padding is spelled out and zeroed to keep those names stable.
+    unsigned char pad[sizeof(std::size_t) - 2];
     std::size_t expect;
 };
 
@@ -493,10 +496,10 @@ TEST_P(ClockedAndTruthTable, MatchesBooleanAnd)
 }
 
 INSTANTIATE_TEST_SUITE_P(TruthTable, ClockedAndTruthTable,
-                         ::testing::Values(AndCase{false, false, 0},
-                                           AndCase{false, true, 0},
-                                           AndCase{true, false, 0},
-                                           AndCase{true, true, 1}));
+                         ::testing::Values(AndCase{false, false, {}, 0},
+                                           AndCase{false, true, {}, 0},
+                                           AndCase{true, false, {}, 0},
+                                           AndCase{true, true, {}, 1}));
 
 TEST(ClockedAndExtra, OperatesOverMultipleCycles)
 {
@@ -511,6 +514,9 @@ TEST(ClockedAndExtra, OperatesOverMultipleCycles)
 struct OrCase
 {
     bool a, b;
+    // gtest names each case after the bytes of its parameter, so the
+    // padding is spelled out and zeroed to keep those names stable.
+    unsigned char pad[sizeof(std::size_t) - 2];
     std::size_t expect;
 };
 
@@ -551,10 +557,10 @@ TEST_P(ClockedOrTruthTable, MatchesBooleanOr)
 }
 
 INSTANTIATE_TEST_SUITE_P(TruthTable, ClockedOrTruthTable,
-                         ::testing::Values(OrCase{false, false, 0},
-                                           OrCase{false, true, 1},
-                                           OrCase{true, false, 1},
-                                           OrCase{true, true, 1}));
+                         ::testing::Values(OrCase{false, false, {}, 0},
+                                           OrCase{false, true, {}, 1},
+                                           OrCase{true, false, {}, 1},
+                                           OrCase{true, true, {}, 1}));
 
 // --- analog clocking experiment (Fig. 7 at the device level) -------------
 

@@ -10,9 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/parallel.hh"
+#include "common/rng.hh"
 #include "dnn/parser.hh"
 #include "estimator/npu_estimator.hh"
 #include "npusim/batch.hh"
@@ -84,6 +86,32 @@ TEST(Arrival, ZeroThinkTimeIsExactlyZero)
     EXPECT_DOUBLE_EQ(process.thinkGapSec(), 0.0);
 }
 
+TEST(ArrivalDeath, NonFiniteSettingsAreFatal)
+{
+    const double nan = std::nan("");
+    const double inf = std::numeric_limits<double>::infinity();
+    const auto check = [](ArrivalKind kind, double ArrivalConfig::*field,
+                          double value) {
+        ArrivalConfig config;
+        config.kind = kind;
+        config.*field = value;
+        config.check();
+    };
+    EXPECT_EXIT(check(ArrivalKind::OpenPoisson, &ArrivalConfig::ratePerSec,
+                      nan),
+                ::testing::ExitedWithCode(1), "arrival rate .* got nan");
+    EXPECT_EXIT(check(ArrivalKind::OpenPoisson, &ArrivalConfig::ratePerSec,
+                      inf),
+                ::testing::ExitedWithCode(1), "arrival rate .* got inf");
+    EXPECT_EXIT(check(ArrivalKind::Bursty, &ArrivalConfig::meanOnSec, nan),
+                ::testing::ExitedWithCode(1), "bursty phases need finite");
+    EXPECT_EXIT(check(ArrivalKind::Bursty, &ArrivalConfig::meanOffSec, inf),
+                ::testing::ExitedWithCode(1), "bursty phases need finite");
+    EXPECT_EXIT(check(ArrivalKind::ClosedLoop, &ArrivalConfig::thinkSec,
+                      nan),
+                ::testing::ExitedWithCode(1), "think time must be finite");
+}
+
 // --- batch queue -----------------------------------------------------
 
 TEST(BatchQueue, FullBatchLaunchesImmediately)
@@ -152,17 +180,95 @@ TEST(BatchQueue, FixedPolicyNeverTimesOut)
 TEST(Dispatch, RoundRobinCycles)
 {
     Dispatcher dispatcher(DispatchPolicy::RoundRobin, 3);
-    const std::vector<int> outstanding{5, 0, 9};
+    // Round-robin ignores load...
+    dispatcher.setLoad(0, 5);
+    dispatcher.setLoad(2, 9);
     for (int expect : {0, 1, 2, 0, 1, 2})
-        EXPECT_EQ(dispatcher.pick(outstanding), expect);
+        EXPECT_EQ(dispatcher.pick(), expect);
+    // ...and rotates past quarantined targets.
+    dispatcher.quarantine(1);
+    for (int expect : {0, 2, 0, 2})
+        EXPECT_EQ(dispatcher.pick(), expect);
 }
 
 TEST(Dispatch, JsqPicksLeastLoadedLowestIndexOnTies)
 {
     Dispatcher dispatcher(DispatchPolicy::JoinShortestQueue, 4);
-    EXPECT_EQ(dispatcher.pick({3, 1, 2, 1}), 1);
-    EXPECT_EQ(dispatcher.pick({0, 0, 0, 0}), 0);
-    EXPECT_EQ(dispatcher.pick({2, 2, 2, 0}), 3);
+    const auto loads = [&](std::vector<int> outstanding) {
+        for (int i = 0; i < 4; ++i)
+            dispatcher.setLoad(i, outstanding[(std::size_t)i]);
+    };
+    EXPECT_EQ(dispatcher.pick(), 0);
+    loads({3, 1, 2, 1});
+    EXPECT_EQ(dispatcher.pick(), 1);
+    loads({0, 0, 0, 0});
+    EXPECT_EQ(dispatcher.pick(), 0);
+    loads({2, 2, 2, 0});
+    EXPECT_EQ(dispatcher.pick(), 3);
+    // A quarantined target is never picked, whatever its load.
+    dispatcher.quarantine(3);
+    EXPECT_EQ(dispatcher.pick(), 0);
+    dispatcher.setLoad(3, 0);
+    EXPECT_EQ(dispatcher.pick(), 0);
+}
+
+TEST(Dispatch, PickMatchesLinearScanUnderRandomUpdates)
+{
+    for (DispatchPolicy policy : {DispatchPolicy::JoinShortestQueue,
+                                  DispatchPolicy::RoundRobin}) {
+        for (int targets : {1, 3, 1000}) {
+            Dispatcher dispatcher(policy, targets);
+            std::vector<int> load((std::size_t)targets, 0);
+            std::vector<char> quarantined((std::size_t)targets, 0);
+            int healthy = targets;
+            int cursor = 0; // the reference round-robin cursor
+            Rng rng(streamSeed(7, (std::uint64_t)targets));
+            for (int step = 0; step < 10000; ++step) {
+                const int target =
+                    (int)(rng.uniform() * targets) % targets;
+                // Rare quarantines; the last healthy target stays.
+                if (rng.uniform() < 0.01 && healthy > 1 &&
+                    !quarantined[(std::size_t)target]) {
+                    dispatcher.quarantine(target);
+                    quarantined[(std::size_t)target] = 1;
+                    --healthy;
+                } else {
+                    // Small loads make ties common.
+                    const int outstanding = (int)(rng.uniform() * 6);
+                    dispatcher.setLoad(target, outstanding);
+                    load[(std::size_t)target] = outstanding;
+                }
+                int expect = -1;
+                if (policy == DispatchPolicy::JoinShortestQueue) {
+                    for (int i = 0; i < targets; ++i) {
+                        if (quarantined[(std::size_t)i])
+                            continue;
+                        if (expect < 0 || load[(std::size_t)i] <
+                                              load[(std::size_t)expect])
+                            expect = i;
+                    }
+                } else {
+                    expect = cursor;
+                    while (quarantined[(std::size_t)expect])
+                        expect = (expect + 1) % targets;
+                    cursor = (expect + 1) % targets;
+                }
+                ASSERT_EQ(dispatcher.pick(), expect)
+                    << dispatchPolicyName(policy) << " on " << targets
+                    << " targets, step " << step;
+            }
+        }
+    }
+}
+
+TEST(ServingConfigDeath, ChipCountAboveTheCapIsFatal)
+{
+    ServingConfig serving;
+    serving.chips = kMaxServingChips;
+    serving.check();
+    serving.chips = kMaxServingChips + 1;
+    EXPECT_EXIT(serving.check(), ::testing::ExitedWithCode(1),
+                "at most 1048576 chips, got 1048577");
 }
 
 // --- end-to-end ------------------------------------------------------
@@ -507,6 +613,140 @@ TEST_F(ServingFixture, PipelinedRetryRidesOutTransientFaults)
     EXPECT_EQ(report.completed, serving.requests);
     const obs::AuditReport audit = obs::auditServing(report);
     EXPECT_TRUE(audit.ok()) << audit.summary();
+}
+
+// --- dispatch equivalence, pinned ------------------------------------
+
+/**
+ * Twelve dispatch targets (not a power of two, so the JSQ index has
+ * padding leaves) under every placement and under mid-run
+ * quarantine. The pinned numbers were recorded with the original
+ * linear-scan dispatcher; any change to a dispatch decision, tie
+ * break included, moves at least one of them.
+ */
+class PinnedDispatch : public ServingFixture
+{
+  protected:
+    static constexpr int kTargets = 12;
+
+    /**
+     * kTargets groups of `group` chips at 0.6 of fleet capacity.
+     */
+    ServingConfig
+    fleet(int group) const
+    {
+        ServingConfig serving = baseConfig(
+            0.6 * kTargets * service.peakRps(solver_max));
+        serving.chips = kTargets * group;
+        // A timeout below one service time launches small batches
+        // onto idle chips, so ties between idle targets are common
+        // and the tie rule shows in where the batches land.
+        serving.batching.timeoutSec = 0.5 * service.batchSeconds(1);
+        return serving;
+    }
+
+    /**
+     * A flux trap on chip 5 halfway through the run: degraded
+     * dispatch quarantines the chip and moves its queue onto the
+     * rest of the fleet.
+     */
+    void
+    trapMidRun(ServingConfig &serving) const
+    {
+        reliability::FaultScheduleConfig faults;
+        faults.chips = serving.chips;
+        reliability::FaultEvent trap;
+        trap.kind = reliability::FaultKind::FluxTrap;
+        trap.chip = 5;
+        trap.timeSec =
+            0.5 * (double)serving.requests / serving.arrival.ratePerSec;
+        trap.magnitude = faults.fluxTrapDerate;
+        serving.faults =
+            reliability::FaultSchedule::fromEvents(faults, {trap});
+        serving.resilience.recovery = RecoveryPolicy::DegradedDispatch;
+        // Quarantine lands one detection latency after the trap;
+        // scale it to the tiny network's service time.
+        serving.resilience.detectLatencySec =
+            0.25 * service.batchSeconds(solver_max);
+    }
+};
+
+/** Report fields the equivalence cases pin. */
+struct Pinned
+{
+    std::uint64_t completed;
+    std::uint64_t eventsProcessed;
+    std::uint64_t batchesLaunched;
+    double latencyP99;
+    std::vector<std::uint64_t> perChipBatches;
+};
+
+void
+expectPinned(const ServingReport &report, const Pinned &pinned)
+{
+    EXPECT_EQ(report.completed, pinned.completed);
+    EXPECT_EQ(report.eventsProcessed, pinned.eventsProcessed);
+    EXPECT_EQ(report.batchesLaunched, pinned.batchesLaunched);
+    EXPECT_DOUBLE_EQ(report.latencyP99, pinned.latencyP99);
+    EXPECT_EQ(report.perChipBatches, pinned.perChipBatches);
+    const obs::AuditReport audit = obs::auditServing(report);
+    EXPECT_TRUE(audit.ok()) << audit.summary();
+}
+
+TEST_F(PinnedDispatch, JsqPlain)
+{
+    const ServingReport report = ServingSimulator(service, fleet(1)).run();
+    expectPinned(report,
+                 {3000, 4400, 1280, 1.5780225592487268e-07,
+                  {103, 104, 102, 105, 101, 106,
+                   107, 110, 111, 110, 111, 110}});
+}
+
+TEST_F(PinnedDispatch, JsqPipelined)
+{
+    ServingConfig serving = fleet(2);
+    serving.pipelineStages = 2;
+    const ServingReport report = ServingSimulator(service, serving).run();
+    expectPinned(report,
+                 {3000, 4754, 667, 7.2192248080510994e-07,
+                  {53, 0, 52, 0, 59, 0, 53, 0, 56, 0, 56, 0,
+                   58, 0, 58, 0, 54, 0, 57, 0, 56, 0, 55, 0}});
+}
+
+TEST_F(PinnedDispatch, JsqReplicated)
+{
+    ServingConfig serving = fleet(2);
+    serving.dataParallelReplicas = 2;
+    const ServingReport report = ServingSimulator(service, serving).run();
+    expectPinned(report,
+                 {3000, 4184, 1158, 1.7212702263069765e-07,
+                  {91, 0, 94, 0, 93, 0, 95, 0, 95, 0, 96, 0,
+                   98, 0, 99, 0, 99, 0, 98, 0, 99, 0, 101, 0}});
+}
+
+TEST_F(PinnedDispatch, JsqDegradedMidRunQuarantine)
+{
+    ServingConfig serving = fleet(1);
+    trapMidRun(serving);
+    const ServingReport report = ServingSimulator(service, serving).run();
+    EXPECT_GT(report.redispatches, 0u);
+    expectPinned(report,
+                 {3000, 4252, 1175, 1.7976990177674214e-07,
+                  {97, 98, 97, 101, 99, 55,
+                   101, 102, 105, 107, 107, 106}});
+}
+
+TEST_F(PinnedDispatch, RoundRobinDegradedMidRunQuarantine)
+{
+    ServingConfig serving = fleet(1);
+    serving.dispatch = DispatchPolicy::RoundRobin;
+    trapMidRun(serving);
+    const ServingReport report = ServingSimulator(service, serving).run();
+    EXPECT_GT(report.redispatches, 0u);
+    expectPinned(report,
+                 {3000, 4197, 1177, 1.7212702263069765e-07,
+                  {102, 102, 102, 102, 102, 55,
+                   102, 102, 102, 102, 102, 102}});
 }
 
 // --- degenerate metrics (zero-makespan guard) ------------------------
