@@ -6,12 +6,14 @@ iteration) and exits 1 unless its result line, the last line of
 stdout, reports "correct": true. run.py itself exits 0 on an output
 mismatch, so the gate has to read that JSON.
 
-    python3 scripts/check_bench_outputs.py serve_fleet serve_faults
-    python3 scripts/check_bench_outputs.py --tamper serve_fleet
+    python3 scripts/check_bench_outputs.py serve_fleet serve_faults plan_fleet
+    python3 scripts/check_bench_outputs.py --tamper serve_fleet plan_fleet
 
 --tamper checks the gate itself. It runs against a copy of
 perfbench/reference.json with one recorded output changed, and exits 1
-unless the gate reports the mismatch.
+unless the gate reports the mismatch. The changed output is the
+alphabetically first one of the workload's entry for --seed, or of its
+seed-independent "any" entry (plan_fleet, jsim_fig07).
 """
 
 from __future__ import annotations
@@ -47,10 +49,18 @@ def outputs_match(workload: str, seed: int, reference: Path) -> bool:
 
 
 def tampered_reference(workload: str, seed: int, directory: str) -> Path:
-    """A reference copy whose serving `workload` entry for `seed`
-    records one completed request too many."""
+    """A reference copy whose `workload` entry for `seed`, or its
+    "any" entry, records its first output one too high."""
     references = json.loads(REFERENCE.read_text())
-    references[workload][str(seed)]["completed"] += 1
+    entries = references.get(workload, {})
+    entry = entries.get(str(seed), entries.get("any"))
+    if not entry:
+        raise SystemExit(f"{workload}: no reference entry for seed "
+                         f"{seed} to tamper with")
+    field = min(entry)
+    entry[field] += 1
+    print(f"{workload}: tampered reference records {field} = "
+          f"{entry[field]}")
     path = Path(directory) / "reference.json"
     path.write_text(json.dumps(references))
     return path

@@ -265,6 +265,7 @@ NpuSimulator::run(const dnn::Network &network, int batch) const
     result.configName = _est.config.name;
     result.batch = batch;
     result.frequencyGhz = _est.frequencyGhz;
+    result.layers.reserve(network.layers.size());
 
     bool ifmap_on_chip = false; // the first layer's input is in DRAM
     std::uint64_t prev_compute = 0; // nothing precedes the first fetch

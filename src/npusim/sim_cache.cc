@@ -16,14 +16,16 @@ namespace {
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 
-/** FNV-1a over one 64-bit word. */
+/**
+ * One multiply-xorshift step over a whole 64-bit word. Every step is
+ * a bijection of the running hash, so sequences that differ in one
+ * word never collide, at an eighth of the cost of byte-wise FNV.
+ */
 void
 mix(std::uint64_t &hash, std::uint64_t word)
 {
-    for (int i = 0; i < 8; ++i) {
-        hash ^= (word >> (8 * i)) & 0xff;
-        hash *= kFnvPrime;
-    }
+    hash = (hash ^ word) * 0x9e3779b97f4a7c15ull;
+    hash ^= hash >> 32;
 }
 
 /** FNV-1a over a string's bytes (length-delimited). */
@@ -47,27 +49,60 @@ mixDouble(std::uint64_t &hash, double value)
     mix(hash, bits);
 }
 
+/** A network key: its name, layer count and layer hashes in order. */
+std::uint64_t
+combineLayers(const std::string &name, const std::uint64_t *layer_hashes,
+              std::size_t count)
+{
+    std::uint64_t hash = kFnvOffset;
+    mix(hash, name);
+    mix(hash, (std::uint64_t)count);
+    for (std::size_t l = 0; l < count; ++l)
+        mix(hash, layer_hashes[l]);
+    return hash;
+}
+
 } // namespace
+
+std::uint64_t
+hashLayer(const dnn::Layer &layer)
+{
+    std::uint64_t hash = kFnvOffset;
+    mix(hash, layer.name);
+    mix(hash, (std::uint64_t)layer.kind);
+    mix(hash, (std::uint64_t)layer.inChannels);
+    mix(hash, (std::uint64_t)layer.inHeight);
+    mix(hash, (std::uint64_t)layer.inWidth);
+    mix(hash, (std::uint64_t)layer.outChannels);
+    mix(hash, (std::uint64_t)layer.kernelH);
+    mix(hash, (std::uint64_t)layer.kernelW);
+    mix(hash, (std::uint64_t)layer.stride);
+    mix(hash, (std::uint64_t)layer.padding);
+    return hash;
+}
+
+std::uint64_t
+hashLayerRange(const std::string &name,
+               const std::vector<std::uint64_t> &layer_hashes,
+               int first, int last)
+{
+    SUPERNPU_ASSERT(0 <= first && first <= last &&
+                        last < (int)layer_hashes.size(),
+                    "layer range [", first, ", ", last,
+                    "] outside ", layer_hashes.size(), " layers");
+    return combineLayers(name, layer_hashes.data() + first,
+                         (std::size_t)(last - first + 1));
+}
 
 std::uint64_t
 hashNetwork(const dnn::Network &network)
 {
-    std::uint64_t hash = kFnvOffset;
-    mix(hash, network.name);
-    mix(hash, (std::uint64_t)network.layers.size());
-    for (const auto &layer : network.layers) {
-        mix(hash, layer.name);
-        mix(hash, (std::uint64_t)layer.kind);
-        mix(hash, (std::uint64_t)layer.inChannels);
-        mix(hash, (std::uint64_t)layer.inHeight);
-        mix(hash, (std::uint64_t)layer.inWidth);
-        mix(hash, (std::uint64_t)layer.outChannels);
-        mix(hash, (std::uint64_t)layer.kernelH);
-        mix(hash, (std::uint64_t)layer.kernelW);
-        mix(hash, (std::uint64_t)layer.stride);
-        mix(hash, (std::uint64_t)layer.padding);
-    }
-    return hash;
+    std::vector<std::uint64_t> layer_hashes;
+    layer_hashes.reserve(network.layers.size());
+    for (const auto &layer : network.layers)
+        layer_hashes.push_back(hashLayer(layer));
+    return combineLayers(network.name, layer_hashes.data(),
+                         layer_hashes.size());
 }
 
 std::uint64_t

@@ -37,7 +37,9 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "dnn/layer.hh"
 #include "estimator/npu_config.hh"
@@ -48,8 +50,27 @@ namespace supernpu {
 namespace npusim {
 
 /**
- * FNV-1a-style structural hash of a network: name and every layer
- * shape field participate, so any change that can alter simulation
+ * Structural hash of one layer: its name, then every shape field,
+ * so any change that can alter the layer's simulation changes the
+ * hash.
+ */
+std::uint64_t hashLayer(const dnn::Layer &layer);
+
+/**
+ * Key of a network named `name` whose layers are the contiguous run
+ * `layer_hashes[first..last]` (inclusive; hashLayer values): the
+ * name, the run length and each layer hash, in order. Nothing
+ * outside the run participates, so a pipeline stage is keyed from
+ * its source network's layer hashes without copying its layers, and
+ * equal runs under equal names share a key wherever they were cut.
+ */
+std::uint64_t hashLayerRange(const std::string &name,
+                             const std::vector<std::uint64_t> &layer_hashes,
+                             int first, int last);
+
+/**
+ * Structural hash of a network: hashLayerRange over all its layers
+ * under its own name, so any change that can alter simulation
  * results changes the hash.
  */
 std::uint64_t hashNetwork(const dnn::Network &network);

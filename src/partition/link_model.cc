@@ -27,7 +27,7 @@ std::unordered_set<std::string> warned_contexts;
 
 std::uint64_t
 guardedBytes(std::initializer_list<std::uint64_t> factors,
-             const std::string &context)
+             const std::function<std::string()> &context)
 {
     // The factors come from ints the parser does not bound, so the
     // uint64 product can wrap. Guard each multiply exactly — a
@@ -47,13 +47,14 @@ guardedBytes(std::initializer_list<std::uint64_t> factors,
     double approx = 1.0;
     for (std::uint64_t f : factors)
         approx *= (double)f;
+    std::string where = context();
     bool first = false;
     {
         std::lock_guard<std::mutex> lock(warned_mutex);
-        first = warned_contexts.insert(context).second;
+        first = warned_contexts.insert(where).second;
     }
     if (first)
-        warn(context, " (~", approx,
+        warn(where, " (~", approx,
              " bytes) exceeds the 64-bit transfer size type; "
              "saturating (warned once for this boundary)");
     return kSaturated;
@@ -82,9 +83,11 @@ activationBytes(const dnn::Layer &boundary, int batch)
                          (std::uint64_t)boundary.outHeight(),
                          (std::uint64_t)boundary.outWidth(),
                          (std::uint64_t)batch},
-                        "layer '" + boundary.name +
-                            "' activation transfer at batch " +
-                            std::to_string(batch));
+                        [&] {
+                            return "layer '" + boundary.name +
+                                   "' activation transfer at batch " +
+                                   std::to_string(batch);
+                        });
 }
 
 std::uint64_t

@@ -25,6 +25,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <initializer_list>
 #include <string>
 
@@ -59,12 +60,14 @@ struct LinkConfig
  * of `factors` is evaluated in double to detect 64-bit wrap before
  * the exact uint64 product is formed. When it fits, the exact
  * product is returned; when it does not, the result saturates to
- * UINT64_MAX and a warn() is emitted — once per distinct `context`
+ * UINT64_MAX and a warn() is emitted — once per distinct context
  * per process, not per call, because sweep loops re-evaluate the
- * same boundary thousands of times.
+ * same boundary thousands of times. `context` names the boundary
+ * and is called only on that saturating path, so the common in-range
+ * product formats no string.
  */
 std::uint64_t guardedBytes(std::initializer_list<std::uint64_t> factors,
-                           const std::string &context);
+                           const std::function<std::string()> &context);
 
 /**
  * Count of distinct saturation contexts warned so far — the

@@ -35,6 +35,24 @@ PartitionPlan::intervalSec() const
     return (double)bottleneckCycles / (frequencyGhz * 1e9);
 }
 
+std::vector<int>
+CutTable::stageEnds(int stages) const
+{
+    SUPERNPU_ASSERT(stages >= 1 && stages <= maxStages,
+                    "stage count ", stages, " outside the table's 1..",
+                    maxStages);
+    const int n = layerCount();
+    std::vector<int> last(stages);
+    int j = n - 1;
+    for (int s = stages; s >= 1; --s) {
+        last[s - 1] = j;
+        j = (s > 1) ? cut[(std::size_t)s * n + j] : -1;
+        SUPERNPU_ASSERT(s == 1 || j >= 0,
+                        "partition DP reconstruction broke");
+    }
+    return last;
+}
+
 Partitioner::Partitioner(const estimator::NpuEstimate &estimate,
                          LinkConfig link, npusim::SimCache *cache)
     : _sim(estimate), _link(link),
@@ -42,12 +60,6 @@ Partitioner::Partitioner(const estimator::NpuEstimate &estimate,
       _configHash(npusim::hashEstimate(estimate))
 {
     _link.check();
-}
-
-std::shared_ptr<const npusim::SimResult>
-Partitioner::simulate(const dnn::Network &network, int batch) const
-{
-    return simulate(npusim::hashNetwork(network), network, batch);
 }
 
 std::shared_ptr<const npusim::SimResult>
@@ -94,80 +106,122 @@ Partitioner::buildTimings(const dnn::Network &network,
     return t;
 }
 
-PartitionPlan
-Partitioner::partition(const dnn::Network &network, int stages,
-                       int batch) const
+std::shared_ptr<const npusim::SimResult>
+Partitioner::simulateStage(CutTable &table, int first, int last) const
+{
+    std::shared_ptr<const npusim::SimResult> &sim =
+        table.stageSims[(std::uint64_t)first << 32 | (std::uint32_t)last];
+    if (sim)
+        return sim;
+    const dnn::Network &network = *table.network;
+    if (first == 0 && last == table.layerCount() - 1) {
+        // K=1: the stage *is* the network — identical name and
+        // layers, so it hits (or seeds) the exact cache entry the
+        // single-chip path uses. This is the byte-identity guarantee
+        // docs/partitioning.md pins.
+        sim = simulate(table.networkHash, network, table.batch);
+        return sim;
+    }
+    const std::string name = network.name + "[" +
+                             std::to_string(first) + "-" +
+                             std::to_string(last) + "]";
+    npusim::SimKey key;
+    key.networkHash =
+        npusim::hashLayerRange(name, table.layerHashes, first, last);
+    key.configHash = _configHash;
+    key.batch = table.batch;
+    sim = _cache->getOrCompute(key, [&] {
+        // Only a miss copies the stage's layers into a sub-network.
+        dnn::Network stage;
+        stage.name = name;
+        stage.layers.assign(network.layers.begin() + first,
+                            network.layers.begin() + last + 1);
+        return _sim.run(stage, table.batch);
+    });
+    return sim;
+}
+
+CutTable
+Partitioner::cutTable(const dnn::Network &network, int max_stages,
+                      int batch) const
 {
     network.check();
-    if (stages < 1)
-        fatal("pipeline needs at least 1 stage, got %d", stages);
+    if (max_stages < 1)
+        fatal("pipeline needs at least 1 stage, got %d", max_stages);
     if (batch < 1)
         fatal("batch must be at least 1, got %d", batch);
 
     const int n = (int)network.layers.size();
-    if (stages > n) {
+    if (max_stages > n) {
         warn("network '%s' has %d layers; clamping %d pipeline "
-             "stages to %d", network.name.c_str(), n, stages, n);
-        stages = n;
+             "stages to %d", network.name.c_str(), n, max_stages, n);
+        max_stages = n;
     }
-    const int k = stages;
+    const int k = max_stages;
+
+    CutTable table;
+    table.network = &network;
+    table.batch = batch;
+    table.maxStages = k;
+    table.layerHashes.reserve(n);
+    for (const dnn::Layer &layer : network.layers)
+        table.layerHashes.push_back(npusim::hashLayer(layer));
+    table.networkHash =
+        npusim::hashLayerRange(network.name, table.layerHashes, 0, n - 1);
 
     // The cut-search inputs — per-layer cycle prefix sums and
     // per-boundary link costs — are memoized per (network, batch):
-    // a planner search re-enters here for every K of each (R, T)
-    // with identical inputs, and only the first K pays for the
-    // derivation (and its whole-network simulation lookup).
-    const std::uint64_t net_hash = npusim::hashNetwork(network);
-    const auto timings = _timings.getOrBuild(
-        net_hash, batch,
-        [&] { return buildTimings(network, net_hash, batch); });
-    const double freq = timings->frequencyGhz;
-    const std::vector<double> &prefix = timings->prefix;
-    const std::vector<double> &link_after = timings->linkAfter;
-    const std::vector<std::uint64_t> &link_cycles =
-        timings->linkCycles;
-    const std::vector<std::uint64_t> &link_bytes = timings->linkBytes;
+    // planner groups that differ only in R share a replica share,
+    // and only the first pays for the derivation (and its
+    // whole-network simulation lookup).
+    table.timings = _timings.getOrBuild(
+        table.networkHash, batch, [&] {
+            return buildTimings(network, table.networkHash, batch);
+        });
+    const std::vector<double> &prefix = table.timings->prefix;
+    const std::vector<double> &link_after = table.timings->linkAfter;
 
-    // Min-max contiguous partition DP: dp[s][j] is the best
+    // Min-max contiguous partition DP: dp_s[j] is the best
     // bottleneck occupancy over layers 0..j split into s stages.
+    // Only the previous row is live; the cut rows are kept.
     auto seg_cost = [&](int i, int j) {
         return prefix[j + 1] - prefix[i] + link_after[j];
     };
     constexpr double kInf = std::numeric_limits<double>::infinity();
-    std::vector<std::vector<double>> dp(
-        k + 1, std::vector<double>(n, kInf));
-    std::vector<std::vector<int>> cut(
-        k + 1, std::vector<int>(n, -1));
+    std::vector<double> prev(n, kInf), dp(n, kInf);
+    table.cut.assign((std::size_t)(k + 1) * n, -1);
     for (int j = 0; j < n; ++j)
-        dp[1][j] = seg_cost(0, j);
+        prev[j] = seg_cost(0, j);
     for (int s = 2; s <= k; ++s) {
+        int *cut = &table.cut[(std::size_t)s * n];
+        std::fill(dp.begin(), dp.end(), kInf);
         for (int j = s - 1; j < n; ++j) {
             for (int i = s - 2; i < j; ++i) {
-                double cost =
-                    std::max(dp[s - 1][i], seg_cost(i + 1, j));
-                if (cost < dp[s][j]) {
-                    dp[s][j] = cost;
-                    cut[s][j] = i;
+                double cost = std::max(prev[i], seg_cost(i + 1, j));
+                if (cost < dp[j]) {
+                    dp[j] = cost;
+                    cut[j] = i;
                 }
             }
         }
+        std::swap(prev, dp);
     }
+    return table;
+}
 
-    // Recover the stage boundaries (last layer of each stage).
-    std::vector<int> last(k);
-    int j = n - 1;
-    for (int s = k; s >= 1; --s) {
-        last[s - 1] = j;
-        j = (s > 1) ? cut[s][j] : -1;
-        SUPERNPU_ASSERT(s == 1 || j >= 0,
-                        "partition DP reconstruction broke");
-    }
+PartitionPlan
+Partitioner::partition(CutTable &table, int stages) const
+{
+    const std::vector<int> last = table.stageEnds(stages);
+    const LayerTimings &timings = *table.timings;
+    const int n = table.layerCount();
+    const int k = stages;
 
     PartitionPlan plan;
-    plan.networkName = network.name;
-    plan.configName = timings->configName;
-    plan.batch = batch;
-    plan.frequencyGhz = freq;
+    plan.networkName = table.network->name;
+    plan.configName = timings.configName;
+    plan.batch = table.batch;
+    plan.frequencyGhz = timings.frequencyGhz;
     plan.link = _link;
     plan.stages.reserve(k);
 
@@ -176,28 +230,11 @@ Partitioner::partition(const dnn::Network &network, int stages,
         PipelineStage stage;
         stage.firstLayer = first;
         stage.lastLayer = last[s];
-        if (first == 0 && last[s] == n - 1) {
-            // K=1: the stage *is* the network — identical name and
-            // layers, so the simulation below hits (or seeds) the
-            // exact cache entry the single-chip path uses. This is
-            // the byte-identity guarantee docs/partitioning.md pins.
-            stage.network = network;
-        } else {
-            stage.network.name = network.name + "[" +
-                                 std::to_string(first) + "-" +
-                                 std::to_string(last[s]) + "]";
-            stage.network.layers.assign(
-                network.layers.begin() + first,
-                network.layers.begin() + last[s] + 1);
-        }
-        // K=1 reuses the whole-network hash; sub-ranges hash fresh.
-        stage.sim = (first == 0 && last[s] == n - 1)
-                        ? simulate(net_hash, stage.network, batch)
-                        : simulate(stage.network, batch);
+        stage.sim = simulateStage(table, first, last[s]);
         stage.stageCycles = stage.sim->totalCycles;
         if (last[s] < n - 1) {
-            stage.linkBytes = link_bytes[last[s]];
-            stage.linkCycles = link_cycles[last[s]];
+            stage.linkBytes = timings.linkBytes[last[s]];
+            stage.linkCycles = timings.linkCycles[last[s]];
         }
         plan.stages.push_back(std::move(stage));
         first = last[s] + 1;
@@ -214,6 +251,14 @@ Partitioner::partition(const dnn::Network &network, int stages,
     SUPERNPU_ASSERT(plan.bottleneckCycles > 0,
                     "degenerate plan: zero bottleneck");
     return plan;
+}
+
+PartitionPlan
+Partitioner::partition(const dnn::Network &network, int stages,
+                       int batch) const
+{
+    CutTable table = cutTable(network, stages, batch);
+    return partition(table, table.maxStages);
 }
 
 } // namespace partition

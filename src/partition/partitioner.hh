@@ -15,18 +15,27 @@
  * and cannot overlap its first weight fetch with a previous layer,
  * just as a real chip receiving activations over the link would.
  *
- * K=1 equivalence guarantee: a single-stage partition keeps the
- * original network (same name, same layers), so its stage SimResult
- * is the very cache entry — byte-identical ledgers included — that
- * the single-chip NpuSimulator path produces. Asking for more
- * stages than layers falls back to K = layer count with a warn().
+ * The DP is solved once per (network, batch) up to a stage bound
+ * (CutTable); every K up to that bound reads its split off the same
+ * table. A stage is a layer range of the source network: its cache
+ * key combines the network's per-layer hashes, and the standalone
+ * sub-network is built only when the cache misses.
+ *
+ * K=1 equivalence guarantee: a single-stage partition keys and
+ * simulates the original network (same name, same layers), so its
+ * stage SimResult is the very cache entry — byte-identical ledgers
+ * included — that the single-chip NpuSimulator path produces.
+ * Asking for more stages than layers falls back to K = layer count
+ * with a warn().
  */
 
 #ifndef SUPERNPU_PARTITION_PARTITIONER_HH
 #define SUPERNPU_PARTITION_PARTITIONER_HH
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "dnn/layer.hh"
@@ -44,9 +53,11 @@ struct PipelineStage
 {
     int firstLayer = 0; ///< inclusive index into the source network
     int lastLayer = 0;  ///< inclusive
-    /** The stage as a standalone sub-network (K=1: the original). */
-    dnn::Network network;
-    /** Cycle simulation of the stage at the plan's batch. */
+    /**
+     * Cycle simulation of the stage at the plan's batch, run as a
+     * standalone sub-network named `<network>[first-last]` (K=1: the
+     * original network under its own name).
+     */
     std::shared_ptr<const npusim::SimResult> sim;
     std::uint64_t stageCycles = 0; ///< sim->totalCycles
     /** Outbound activation bytes; 0 for the last stage. */
@@ -97,6 +108,48 @@ struct PartitionPlan
     double intervalSec() const;
 };
 
+/**
+ * The min-max cut DP of one (network, batch), solved once up to a
+ * stage bound. Row s of the DP reads only row s-1, so the optimal
+ * split for every K <= maxStages() reads off the same table, exactly
+ * as a DP solved to K alone would find it. The table also holds the
+ * per-layer hashes stage cache keys are combined from, and the stage
+ * simulations already read off it. It refers to its network, which
+ * must outlive it, and serves one thread at a time.
+ */
+struct CutTable
+{
+    const dnn::Network *network = nullptr; ///< not owned
+    int batch = 1;
+    int maxStages = 0;
+    /** npusim::hashLayer of every layer of the network. */
+    std::vector<std::uint64_t> layerHashes;
+    /** npusim::hashNetwork of the network, from layerHashes. */
+    std::uint64_t networkHash = 0;
+    /** The memoized per-layer costs the DP balanced. */
+    std::shared_ptr<const LayerTimings> timings;
+    /**
+     * Row-major (maxStages + 1) x layers: cut[s * layers + j] is the
+     * last layer of stage s-1 in the best s-stage split of layers
+     * 0..j, or -1 where no split exists (row 1 has no cut).
+     */
+    std::vector<int> cut;
+    /**
+     * Stage simulations handed out so far, keyed first << 32 | last.
+     * Neighbouring K reuse most of each other's stage ranges (about
+     * four lookups in five on a ResNet-50 planner search), and this
+     * returns them without another SimCache round trip.
+     */
+    std::unordered_map<std::uint64_t,
+                       std::shared_ptr<const npusim::SimResult>>
+        stageSims;
+
+    int layerCount() const { return (int)layerHashes.size(); }
+
+    /** Last layer of each stage of the optimal `stages`-way split. */
+    std::vector<int> stageEnds(int stages) const;
+};
+
 /** Bottleneck-minimizing contiguous partitioner for one design. */
 class Partitioner
 {
@@ -110,9 +163,25 @@ class Partitioner
                          npusim::SimCache *cache = nullptr);
 
     /**
+     * Solve the cut DP of `network` at `batch` once for every stage
+     * count up to `max_stages`, which is clamped to the layer count
+     * with a warn() when it exceeds it.
+     */
+    CutTable cutTable(const dnn::Network &network, int max_stages,
+                      int batch) const;
+
+    /**
+     * The optimal `stages`-way plan read off `table`
+     * (1 <= stages <= table.maxStages), with every stage simulated
+     * and remembered in the table.
+     */
+    PartitionPlan partition(CutTable &table, int stages) const;
+
+    /**
      * Split `network` into `stages` contiguous stages balanced at
-     * the given batch. `stages` is clamped to the layer count with
-     * a warn() when it exceeds it.
+     * the given batch: the stages-row of a table solved to `stages`.
+     * `stages` is clamped to the layer count with a warn() when it
+     * exceeds it.
      */
     PartitionPlan partition(const dnn::Network &network, int stages,
                             int batch) const;
@@ -135,13 +204,13 @@ class Partitioner
     }
 
   private:
-    /** Cached whole-(sub-)network simulation. */
-    std::shared_ptr<const npusim::SimResult>
-    simulate(const dnn::Network &network, int batch) const;
-    /** Same, with the network hash precomputed by the caller. */
+    /** Cached whole-network simulation under a precomputed hash. */
     std::shared_ptr<const npusim::SimResult>
     simulate(std::uint64_t network_hash, const dnn::Network &network,
              int batch) const;
+    /** Cached simulation of layers [first, last] as a stage. */
+    std::shared_ptr<const npusim::SimResult>
+    simulateStage(CutTable &table, int first, int last) const;
     /** Derive the cut-search inputs (one memoized simulation). */
     LayerTimings buildTimings(const dnn::Network &network,
                               std::uint64_t network_hash,

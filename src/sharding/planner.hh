@@ -27,15 +27,18 @@
  *
  * The planner enumerates every (R, T, K) with R·T·K ≤ budget in
  * lexicographic order and keeps the best under the objective; ties
- * keep the earlier triple, so results are deterministic. The
- * enumeration fans out across a common/parallel ThreadPool:
- * candidates land in enumeration order regardless of scheduling
- * (parallelMap slot order) and every shared structure the
- * evaluations touch (npusim::SimCache, the partitioner's
- * LayerTimingCache, the link model's warn dedup) is single-flight or
- * mutexed with scheduling-independent accounting, so `jobs` is a
- * pure wall-clock knob — the search output and its ledgers are
- * byte-identical to the serial walk at any job count.
+ * keep the earlier triple, so results are deterministic. Work is
+ * grouped by (R, T): a group shards, simulates the solo baseline and
+ * solves one partition cut DP to its largest K once, then reads
+ * every K's plan off that table. The groups fan out across a
+ * common/parallel ThreadPool: candidates land in enumeration order
+ * regardless of scheduling (parallelMap slot order, flattened in
+ * group order) and every shared structure the groups touch
+ * (npusim::SimCache, the partitioner's LayerTimingCache, the link
+ * model's warn dedup) is single-flight or mutexed with
+ * scheduling-independent accounting, so `jobs` is a pure wall-clock
+ * knob — the search output and its ledgers are byte-identical to
+ * the serial walk at any job count.
  */
 
 #ifndef SUPERNPU_SHARDING_PLANNER_HH
@@ -179,6 +182,20 @@ class HybridPlanner
     }
 
   private:
+    /**
+     * Plans for (R, T, K) at every K in [first_stages, last_stages]
+     * (clamped to the layer count), in K order, sharing one shard,
+     * one solo run and one cut DP. `network_hash` is
+     * npusim::hashNetwork(network). evaluate() is the one-K case.
+     */
+    std::vector<ShardPlan> evaluateGroup(const dnn::Network &network,
+                                         std::uint64_t network_hash,
+                                         int data_parallel,
+                                         int tensor_shards,
+                                         int first_stages,
+                                         int last_stages,
+                                         int batch) const;
+
     TensorSharder _sharder;
     partition::Partitioner _partitioner;
 };

@@ -132,8 +132,19 @@ class TensorSharder
     const partition::LinkConfig &link() const { return _link; }
 
   private:
+    /** Cached simulation under a precomputed network hash. */
     std::shared_ptr<const npusim::SimResult>
-    simulate(const dnn::Network &network, int batch) const;
+    simulate(std::uint64_t network_hash, const dnn::Network &network,
+             int batch) const;
+    /**
+     * shard() of a checked network whose shard network and both
+     * hashes the caller already holds (the planner's (R, T) group).
+     */
+    TensorShardResult shard(const dnn::Network &network,
+                            std::uint64_t network_hash,
+                            const dnn::Network &shard_net,
+                            std::uint64_t shard_hash, int shards,
+                            int batch) const;
 
     npusim::NpuSimulator _sim;
     partition::LinkConfig _link;

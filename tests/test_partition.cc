@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <string>
 
 #include "dnn/networks.hh"
 #include "dnn/parser.hh"
@@ -187,6 +188,63 @@ TEST_F(PartitionFixture, RepartitioningHitsTheLayerTimingCache)
     partitioner.partition(net, 2, std::max(1, batch - 1));
     EXPECT_EQ(partitioner.timingCacheStats().misses,
               first.misses + 1);
+}
+
+TEST_F(PartitionFixture, EveryDepthIsARowOfTheDeepestTable)
+{
+    // One DP solved to K_max answers every smaller K: partition(K)
+    // must equal the K-row of the K_max table, stage for stage, down
+    // to the SimResult objects the shared cache hands out.
+    const dnn::Network deep = dnn::makeResNet18();
+    const int deep_batch = npusim::maxBatch(config, estimate, deep);
+    const int n = (int)deep.layers.size();
+    Partitioner partitioner(estimate, {}, &cache);
+    CutTable table = partitioner.cutTable(deep, n, deep_batch);
+    ASSERT_EQ(table.maxStages, n);
+    EXPECT_EQ(table.networkHash, npusim::hashNetwork(deep));
+    for (int k = 1; k <= n; ++k) {
+        const PartitionPlan alone = partitioner.partition(deep, k, deep_batch);
+        const PartitionPlan row = partitioner.partition(table, k);
+        EXPECT_EQ(alone.networkName, row.networkName);
+        EXPECT_EQ(alone.configName, row.configName);
+        EXPECT_EQ(alone.bottleneckStage, row.bottleneckStage) << k;
+        EXPECT_EQ(alone.bottleneckCycles, row.bottleneckCycles) << k;
+        EXPECT_EQ(alone.fillCycles, row.fillCycles) << k;
+        ASSERT_EQ(alone.stageCount(), k);
+        ASSERT_EQ(row.stageCount(), k);
+        for (int s = 0; s < k; ++s) {
+            const PipelineStage &a = alone.stages[s], &b = row.stages[s];
+            EXPECT_EQ(a.firstLayer, b.firstLayer) << k << "/" << s;
+            EXPECT_EQ(a.lastLayer, b.lastLayer) << k << "/" << s;
+            EXPECT_EQ(a.stageCycles, b.stageCycles) << k << "/" << s;
+            EXPECT_EQ(a.linkBytes, b.linkBytes) << k << "/" << s;
+            EXPECT_EQ(a.linkCycles, b.linkCycles) << k << "/" << s;
+            EXPECT_EQ(a.sim.get(), b.sim.get()) << k << "/" << s;
+        }
+    }
+}
+
+TEST_F(PartitionFixture, StageSimulationIsTheCopiedSubNetworkRun)
+{
+    // A stage is keyed as a layer range and built only on a miss,
+    // under the name a copied sub-network always had — so its
+    // SimResult is byte-identical to running that copy directly.
+    Partitioner partitioner(estimate, {}, &cache);
+    const PartitionPlan plan = partitioner.partition(net, 2, batch);
+    npusim::NpuSimulator sim(estimate);
+    for (const PipelineStage &stage : plan.stages) {
+        dnn::Network copy;
+        copy.name = net.name + "[" + std::to_string(stage.firstLayer) +
+                    "-" + std::to_string(stage.lastLayer) + "]";
+        copy.layers.assign(net.layers.begin() + stage.firstLayer,
+                           net.layers.begin() + stage.lastLayer + 1);
+        obs::RunLedger staged, direct;
+        obs::addSimResult(staged, *stage.sim);
+        obs::addSimResult(direct, sim.run(copy, batch));
+        EXPECT_EQ(staged.json(), direct.json()) << copy.name;
+        EXPECT_EQ(cache.getOrRun(sim, copy, batch).get(),
+                  stage.sim.get());
+    }
 }
 
 // --- layer-timing cache ----------------------------------------------

@@ -10,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <string>
 
 #include "dnn/layer.hh"
 #include "dnn/networks.hh"
@@ -515,6 +517,89 @@ TEST_F(ShardingFixture, ParallelPlanIsByteIdenticalToSerial)
         EXPECT_EQ(parallel.sim.misses, serial.sim.misses);
         EXPECT_EQ(parallel.timings.hits, serial.timings.hits);
         EXPECT_EQ(parallel.timings.misses, serial.timings.misses);
+    }
+}
+
+/** Every field of two plans agrees, stage sims by object identity. */
+void
+expectSamePlan(const ShardPlan &a, const ShardPlan &b)
+{
+    EXPECT_EQ(a.networkName, b.networkName);
+    EXPECT_EQ(a.configName, b.configName);
+    EXPECT_EQ(a.dataParallel, b.dataParallel);
+    EXPECT_EQ(a.tensorShards, b.tensorShards);
+    EXPECT_EQ(a.pipelineStages, b.pipelineStages);
+    EXPECT_EQ(a.batch, b.batch);
+    EXPECT_EQ(a.replicaShare, b.replicaShare);
+    EXPECT_EQ(a.frequencyGhz, b.frequencyGhz);
+    EXPECT_EQ(a.link.bandwidthGBps, b.link.bandwidthGBps);
+    EXPECT_EQ(a.link.latencyCycles, b.link.latencyCycles);
+    EXPECT_EQ(a.stageCollectiveCycles, b.stageCollectiveCycles);
+    EXPECT_EQ(a.stageOccupancyCycles, b.stageOccupancyCycles);
+    EXPECT_EQ(a.tensorCollectiveCycles, b.tensorCollectiveCycles);
+    EXPECT_EQ(a.tensorCollectiveBytes, b.tensorCollectiveBytes);
+    EXPECT_EQ(a.gatherBytes, b.gatherBytes);
+    EXPECT_EQ(a.gatherCycles, b.gatherCycles);
+    EXPECT_EQ(a.bottleneckCycles, b.bottleneckCycles);
+    EXPECT_EQ(a.fillCycles, b.fillCycles);
+    EXPECT_EQ(a.intervalCycles, b.intervalCycles);
+    EXPECT_EQ(a.latencyCycles, b.latencyCycles);
+    EXPECT_EQ(a.soloCycles, b.soloCycles);
+    EXPECT_EQ(a.macOpsPerBatch, b.macOpsPerBatch);
+    EXPECT_EQ(a.peakMacPerSec, b.peakMacPerSec);
+
+    const partition::PartitionPlan &pa = a.pipeline, &pb = b.pipeline;
+    EXPECT_EQ(pa.networkName, pb.networkName);
+    EXPECT_EQ(pa.configName, pb.configName);
+    EXPECT_EQ(pa.batch, pb.batch);
+    EXPECT_EQ(pa.frequencyGhz, pb.frequencyGhz);
+    EXPECT_EQ(pa.bottleneckStage, pb.bottleneckStage);
+    EXPECT_EQ(pa.bottleneckCycles, pb.bottleneckCycles);
+    EXPECT_EQ(pa.fillCycles, pb.fillCycles);
+    ASSERT_EQ(pa.stageCount(), pb.stageCount());
+    for (int s = 0; s < pa.stageCount(); ++s) {
+        const partition::PipelineStage &sa = pa.stages[s];
+        const partition::PipelineStage &sb = pb.stages[s];
+        EXPECT_EQ(sa.firstLayer, sb.firstLayer);
+        EXPECT_EQ(sa.lastLayer, sb.lastLayer);
+        EXPECT_EQ(sa.stageCycles, sb.stageCycles);
+        EXPECT_EQ(sa.linkBytes, sb.linkBytes);
+        EXPECT_EQ(sa.linkCycles, sb.linkCycles);
+        EXPECT_EQ(sa.sim.get(), sb.sim.get()) << "stage " << s;
+    }
+}
+
+TEST_F(ShardingFixture, GroupedSearchMatchesPerTripleEvaluation)
+{
+    // plan() evaluates each (R, T) once and reads every K off one
+    // cut table; each candidate must be exactly what a standalone
+    // evaluate() of its triple builds — down to the stage SimResult
+    // objects, which on a shared cache are the same entries.
+    const dnn::Network deep = dnn::makeResNet18();
+    for (int jobs : {1, 4}) {
+        npusim::SimCache shared(0);
+        HybridPlanner planner(estimate, testLink(), &shared);
+        const PlanSearch search = planner.plan(
+            deep, 16, 8, PlanObjective::Throughput, jobs);
+        const std::size_t misses = shared.stats().misses;
+        std::size_t triples = 0;
+        for (int r = 1; r <= 8; ++r)
+            for (int t = 1; r * t <= 16; ++t)
+                triples += (std::size_t)std::min(
+                    16 / (r * t), (int)deep.layers.size());
+        ASSERT_EQ(search.evaluated.size(), triples);
+        for (const ShardPlan &grouped : search.evaluated) {
+            SCOPED_TRACE(::testing::Message()
+                         << "jobs " << jobs << " R=" << grouped.dataParallel
+                         << " T=" << grouped.tensorShards
+                         << " K=" << grouped.pipelineStages);
+            expectSamePlan(grouped,
+                           planner.evaluate(deep, grouped.dataParallel,
+                                            grouped.tensorShards,
+                                            grouped.pipelineStages, 8));
+        }
+        // The standalone evaluations found everything cached.
+        EXPECT_EQ(shared.stats().misses, misses);
     }
 }
 

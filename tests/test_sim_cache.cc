@@ -5,6 +5,8 @@
  * points), and thread safety.
  */
 
+#include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -164,6 +166,85 @@ TEST(SimHash, NetworkHashIsShapeSensitive)
     b = a;
     b.name = "other";
     EXPECT_NE(hashNetwork(a), hashNetwork(b));
+}
+
+/** hashLayer of every layer of `network`. */
+std::vector<std::uint64_t>
+layerHashes(const dnn::Network &network)
+{
+    std::vector<std::uint64_t> hashes;
+    for (const auto &layer : network.layers)
+        hashes.push_back(hashLayer(layer));
+    return hashes;
+}
+
+TEST(SimHash, WholeRangeKeysLikeTheNetwork)
+{
+    // The DP=TP=PP=1 identity guarantee rests on this: a stage that
+    // spans the whole network, under the network's own name, is the
+    // single-chip cache key.
+    const dnn::Network net = dnn::makeResNet18();
+    const int last = (int)net.layers.size() - 1;
+    EXPECT_EQ(hashLayerRange(net.name, layerHashes(net), 0, last),
+              hashNetwork(net));
+}
+
+TEST(SimHash, RangeKeysLikeItsCopiedSubNetwork)
+{
+    const dnn::Network net = dnn::makeResNet18();
+    const std::vector<std::uint64_t> hashes = layerHashes(net);
+    const int n = (int)net.layers.size();
+    for (int first = 0; first < n; first += 3) {
+        for (int last = first; last < n; last += 4) {
+            dnn::Network stage;
+            stage.name = net.name + "[" + std::to_string(first) + "-" +
+                         std::to_string(last) + "]";
+            stage.layers.assign(net.layers.begin() + first,
+                                net.layers.begin() + last + 1);
+            EXPECT_EQ(hashLayerRange(stage.name, hashes, first, last),
+                      hashNetwork(stage))
+                << stage.name;
+        }
+    }
+}
+
+TEST(SimHash, RangeKeyCoversOnlyItsOwnLayers)
+{
+    const dnn::Network net = dnn::makeResNet18();
+    const int first = 2, last = 5;
+    const std::uint64_t key =
+        hashLayerRange("stage", layerHashes(net), first, last);
+
+    dnn::Network inside = net;
+    inside.layers[first + 1].stride += 1;
+    EXPECT_NE(hashLayerRange("stage", layerHashes(inside), first, last),
+              key);
+    inside = net;
+    inside.layers[last].name += "'";
+    EXPECT_NE(hashLayerRange("stage", layerHashes(inside), first, last),
+              key);
+
+    dnn::Network outside = net;
+    outside.layers[first - 1].outChannels += 1;
+    outside.layers[last + 1].kernelH += 2;
+    EXPECT_EQ(
+        hashLayerRange("stage", layerHashes(outside), first, last), key);
+
+    // The name and the range bounds are part of the key too.
+    EXPECT_NE(hashLayerRange("other", layerHashes(net), first, last),
+              key);
+    EXPECT_NE(hashLayerRange("stage", layerHashes(net), first, last + 1),
+              key);
+
+    // Equal layers cut at another offset of another network key the
+    // same under the same name: where the run sits does not count.
+    dnn::Network shifted = net;
+    shifted.name = "shifted";
+    shifted.layers.erase(shifted.layers.begin());
+    shifted.layers.back().stride += 1;
+    EXPECT_EQ(hashLayerRange("stage", layerHashes(shifted), first - 1,
+                             last - 1),
+              key);
 }
 
 TEST(SimHash, ConfigHashCoversEveryKnob)
