@@ -9,8 +9,7 @@
  * The grid is embarrassingly parallel and runs on the common
  * ThreadPool; each cell is a deterministic discrete-event run, so
  * the printed table is byte-identical at any --jobs count and across
- * reruns — verified at the bottom of the output, the same discipline
- * as sweep_scaling.
+ * reruns — verified at the bottom of the output.
  *
  * --smoke shrinks the grid and request count for CI.
  */

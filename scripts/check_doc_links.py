@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Verify the repository's documentation cross-references.
 
-Two kinds of reference are checked across README.md, EXPERIMENTS.md,
-and every Markdown file under docs/:
+Three kinds of reference are checked across README.md,
+EXPERIMENTS.md, DESIGN.md and every Markdown file under docs/:
 
   1. Relative Markdown links — `[text](path)` where path is not an
      http(s)/mailto URL or a pure #anchor. The target must exist,
@@ -12,6 +12,9 @@ and every Markdown file under docs/:
      `src/perf/profile.hh` and the like. Prose refers to files by
      path constantly; a rename that misses one of these is exactly
      the staleness this script exists to catch.
+  3. Bench binary mentions — `bench/<name>` or `./build/bench/<name>`,
+     backticked or not. Each must have a `bench/<name>.cc` source, so
+     a deleted bench binary cannot linger in the docs.
 
 Exit status: 0 when every reference resolves, 1 otherwise (one line
 per broken reference, `file:line: target`). No dependencies beyond
@@ -32,6 +35,12 @@ MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)[^)]*\)")
 # track; bare identifiers and code spans stay out of scope.
 BACKTICK_REF = re.compile(
     r"`([A-Za-z0-9_./-]+\.(?:md|hh|cc|py|sh|json|yml|net|csv))`"
+)
+# bench/<name> or build/bench/<name> naming a binary: not part of a
+# longer path (perfbench/, bench/baselines/...), a glob (bench/fig*)
+# or a file with an extension (bench/bench_common.hh).
+BENCH_BINARY = re.compile(
+    r"(?<![\w.-])(?:\./)?(?:build/)?bench/(\w+)\b(?![/*]|\.\w)"
 )
 # Tokens that look like files but are placeholders or generated
 # artifacts, never committed paths.
@@ -93,6 +102,11 @@ def check_file(path: Path) -> list[str]:
                 errors.append(f"{path.relative_to(REPO_ROOT)}:"
                               f"{lineno}: stale file reference"
                               f" ({target})")
+        for match in BENCH_BINARY.finditer(line):
+            if not (REPO_ROOT / "bench" / f"{match.group(1)}.cc").exists():
+                errors.append(f"{path.relative_to(REPO_ROOT)}:"
+                              f"{lineno}: no such bench binary"
+                              f" ({match.group(0)})")
     return errors
 
 

@@ -457,6 +457,36 @@ TEST_F(ShardingFixture, PlannerEnumeratesTheWholeBudget)
     EXPECT_LE(latency.best().latencySec(), solo.latencySec());
 }
 
+TEST(ShardResNet50, BestThroughputIsMonotonicInChipBudget)
+{
+    // A bigger budget's search space holds every smaller budget's
+    // factorization, so the winner's throughput can never fall as
+    // chips are added.
+    sfq::DeviceConfig dev;
+    sfq::CellLibrary lib(dev);
+    const estimator::NpuConfig config =
+        estimator::NpuConfig::superNpu();
+    const estimator::NpuEstimate estimate =
+        estimator::NpuEstimator(lib).estimate(config);
+    const dnn::Network net = dnn::makeResNet50();
+    const int batch = npusim::maxBatch(config, estimate, net);
+
+    npusim::SimCache cache;
+    HybridPlanner planner(estimate, {}, &cache);
+    double last = 0.0;
+    for (int budget : {1, 2, 4, 8}) {
+        const ShardPlan best =
+            planner.plan(net, budget, batch, PlanObjective::Throughput)
+                .best();
+        const obs::AuditReport audit = obs::auditSharding(best);
+        EXPECT_TRUE(audit.ok()) << "budget " << budget << ": "
+                                << audit.summary();
+        EXPECT_LE(best.chips(), budget);
+        EXPECT_GE(best.throughput(), last) << "budget " << budget;
+        last = best.throughput();
+    }
+}
+
 TEST_F(ShardingFixture, PlansAreDeterministicAcrossFreshCaches)
 {
     const auto fingerprint = [&]() {

@@ -91,7 +91,8 @@
  *
  * Partition options (partition; --stages also pipelines serve):
  *   --stages <k>            chips in the pipeline group
- *   --sweep                 also print a K-sweep table
+ *   --sweep                 also print a K-sweep table; --ledger
+ *                           gains it as table "sweep"
  *   --stream <n>            batches streamed through the pipeline
  *   --link-gbps <n>         inter-chip link bandwidth (default 300)
  *   --link-latency <n>      fixed link latency in cycles
@@ -102,7 +103,8 @@
  *   --stages <k>            pipeline stages per shard
  *   --chips <n>             planner chip budget (default 8)
  *   --objective throughput|latency   planner ranking
- *   --sweep                 also print a budget-scaling table
+ *   --sweep                 also print a budget-scaling table;
+ *                           --ledger gains it as table "sweep"
  *
  * Bench options (bench; --jobs defaults to 1 here, the byte-stable
  * reference point):
@@ -127,9 +129,14 @@
  */
 
 #include <cctype>
+#include <charconv>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <fstream>
@@ -254,6 +261,37 @@ tryConfig(const std::string &name, estimator::NpuConfig &out)
     return true;
 }
 
+/**
+ * The one checked parser for numeric option values: the whole of
+ * `text` must be a finite T in [min, max]. Non-numeric text, trailing
+ * junk, overflow and out-of-range values are a fatal naming `flag`,
+ * never an uncaught exception, a panic or a silently wrapped value.
+ */
+template <typename T>
+T
+numberOption(const std::string &flag, const std::string &text,
+             T min = std::numeric_limits<T>::lowest(),
+             T max = std::numeric_limits<T>::max())
+{
+    const char *what = std::is_floating_point_v<T> ? "a finite number"
+                       : std::is_signed_v<T>       ? "an integer"
+                                                   : "a non-negative integer";
+    T value{};
+    const char *end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    const bool parsed = error == std::errc() && stop == end &&
+                        std::isfinite((double)value);
+    if (error == std::errc::result_out_of_range || (parsed && value > max))
+        fatal("option '", flag, "' is out of range, got '", text, "'");
+    if (!parsed)
+        fatal("option '", flag, "' needs ", what, ", got '", text, "'");
+    if (value < min) {
+        fatal("option '", flag, "' must be at least ", min, ", got '",
+              text, "'");
+    }
+    return value;
+}
+
 /** Consume "--flag value" pairs; returns leftover positionals. */
 std::vector<std::string>
 parseOptions(int argc, char **argv, int first, Options &options)
@@ -266,6 +304,27 @@ parseOptions(int argc, char **argv, int first, Options &options)
                 fatal("option '", arg, "' needs a value");
             return argv[++i];
         };
+        const auto next_int = [&](int min = INT_MIN) {
+            return numberOption<int>(arg, next(), min);
+        };
+        const auto next_count = [&]() {
+            return numberOption<std::uint64_t>(arg, next());
+        };
+        const auto next_mib = [&]() {
+            return numberOption<std::uint64_t>(arg, next(), 1,
+                                               UINT64_MAX / units::MiB) *
+                   units::MiB;
+        };
+        const auto next_real = [&](double min = -HUGE_VAL) {
+            return numberOption<double>(arg, next(), min);
+        };
+        // Sizes and bandwidths the models divide by.
+        const auto next_positive = [&]() {
+            const double value = next_real();
+            if (value <= 0.0)
+                fatal("option '", arg, "' must be positive, got ", value);
+            return value;
+        };
         if (arg == "--tech") {
             const std::string value = lowered(next());
             if (value == "rsfq") {
@@ -276,30 +335,28 @@ parseOptions(int argc, char **argv, int first, Options &options)
                 fatal("unknown technology '", value, "'");
             }
         } else if (arg == "--feature") {
-            options.featureUm = std::stod(next());
+            options.featureUm = next_positive();
         } else if (arg == "--width") {
-            options.config.peWidth = std::stoi(next());
+            options.config.peWidth = next_int(1);
         } else if (arg == "--height") {
-            options.config.peHeight = std::stoi(next());
+            options.config.peHeight = next_int(1);
         } else if (arg == "--regs") {
-            options.config.regsPerPe = std::stoi(next());
+            options.config.regsPerPe = next_int(1);
         } else if (arg == "--division") {
-            options.config.outputDivision = std::stoi(next());
+            options.config.outputDivision = next_int(1);
         } else if (arg == "--ifmap-mb") {
-            options.config.ifmapBufferBytes =
-                (std::uint64_t)std::stoul(next()) * units::MiB;
+            options.config.ifmapBufferBytes = next_mib();
         } else if (arg == "--output-mb") {
             options.config.integratedOutputBuffer = true;
-            options.config.outputBufferBytes =
-                (std::uint64_t)std::stoul(next()) * units::MiB;
+            options.config.outputBufferBytes = next_mib();
             options.config.psumBufferBytes = 0;
             options.config.ofmapBufferBytes = 0;
         } else if (arg == "--bandwidth-gbps") {
-            options.config.memoryBandwidth = std::stod(next()) * 1e9;
+            options.config.memoryBandwidth = next_positive() * 1e9;
         } else if (arg == "--batch") {
-            options.forcedBatch = std::stoi(next());
+            options.forcedBatch = next_int(1);
         } else if (arg == "--jobs") {
-            options.jobs = std::stoi(next());
+            options.jobs = next_int();
         } else if (arg == "--netfile") {
             options.netFile = next();
         } else if (arg == "--trace") {
@@ -309,9 +366,9 @@ parseOptions(int argc, char **argv, int first, Options &options)
         } else if (arg == "--json") {
             options.jsonOut = true;
         } else if (arg == "--rps") {
-            options.serve.arrival.ratePerSec = std::stod(next());
+            options.serve.arrival.ratePerSec = next_real();
         } else if (arg == "--chips") {
-            options.serve.chips = std::stoi(next());
+            options.serve.chips = next_int(1);
             options.chipBudget = options.serve.chips;
         } else if (arg == "--policy") {
             const std::string value = lowered(next());
@@ -351,30 +408,30 @@ parseOptions(int argc, char **argv, int first, Options &options)
             }
         } else if (arg == "--timeout-us") {
             options.serve.batching.timeoutSec =
-                std::stod(next()) * 1e-6;
+                next_real() * 1e-6;
         } else if (arg == "--requests") {
             options.serve.requests =
-                (std::uint64_t)std::stoull(next());
+                next_count();
         } else if (arg == "--clients") {
-            options.serve.arrival.clients = std::stoi(next());
+            options.serve.arrival.clients = next_int();
         } else if (arg == "--seed") {
-            options.serve.seed = (std::uint64_t)std::stoull(next());
+            options.serve.seed = next_count();
         } else if (arg == "--drop-rate") {
-            options.faults.pulseDropRatePerSec = std::stod(next());
+            options.faults.pulseDropRatePerSec = next_real();
             options.faultRateGiven = true;
         } else if (arg == "--trap-rate") {
-            options.faults.fluxTrapRatePerSec = std::stod(next());
+            options.faults.fluxTrapRatePerSec = next_real();
             options.faultRateGiven = true;
         } else if (arg == "--skew-rate") {
-            options.faults.clockSkewRatePerSec = std::stod(next());
+            options.faults.clockSkewRatePerSec = next_real();
             options.faultRateGiven = true;
         } else if (arg == "--glitch-rate") {
-            options.faults.linkGlitchRatePerSec = std::stod(next());
+            options.faults.linkGlitchRatePerSec = next_real();
             options.faultRateGiven = true;
         } else if (arg == "--fault-burst") {
             options.faults.arrival = reliability::FaultArrival::Burst;
         } else if (arg == "--fault-seed") {
-            options.faults.seed = (std::uint64_t)std::stoull(next());
+            options.faults.seed = next_count();
         } else if (arg == "--recovery") {
             const std::string value = lowered(next());
             if (value == "none") {
@@ -391,22 +448,22 @@ parseOptions(int argc, char **argv, int first, Options &options)
             }
         } else if (arg == "--detect-us") {
             options.serve.resilience.detectLatencySec =
-                std::stod(next()) * 1e-6;
+                next_real() * 1e-6;
         } else if (arg == "--max-retries") {
-            options.serve.resilience.maxRetries = std::stoi(next());
+            options.serve.resilience.maxRetries = next_int();
         } else if (arg == "--backoff-us") {
             options.serve.resilience.backoffBaseSec =
-                std::stod(next()) * 1e-6;
+                next_real() * 1e-6;
         } else if (arg == "--checkpoint") {
             options.serve.resilience.checkpointRestart = true;
         } else if (arg == "--ber") {
-            options.berFlipsPerMillion = std::stod(next());
+            options.berFlipsPerMillion = next_real(0.0);
         } else if (arg == "--stages") {
-            options.stages = std::stoi(next());
+            options.stages = next_int(1);
         } else if (arg == "--dp") {
-            options.dataParallel = std::stoi(next());
+            options.dataParallel = next_int(1);
         } else if (arg == "--tp") {
-            options.tensorShards = std::stoi(next());
+            options.tensorShards = next_int(1);
         } else if (arg == "--objective") {
             const std::string value = lowered(next());
             if (value == "throughput") {
@@ -420,14 +477,14 @@ parseOptions(int argc, char **argv, int first, Options &options)
         } else if (arg == "--sweep") {
             options.sweep = true;
         } else if (arg == "--stream") {
-            options.streamBatches = std::stoi(next());
+            options.streamBatches = next_int(1);
         } else if (arg == "--link-gbps") {
-            options.link.bandwidthGBps = std::stod(next());
+            options.link.bandwidthGBps = next_positive();
         } else if (arg == "--link-latency") {
             options.link.latencyCycles =
-                (std::uint64_t)std::stoull(next());
+                next_count();
         } else if (arg == "--cases") {
-            options.checkCases = (std::uint64_t)std::stoull(next());
+            options.checkCases = next_count();
         } else if (arg == "--replay") {
             options.checkReplay = next();
         } else if (arg == "--no-shrink") {
@@ -450,9 +507,9 @@ parseOptions(int argc, char **argv, int first, Options &options)
         } else if (arg == "--profile") {
             options.profile = true;
         } else if (arg == "--reps") {
-            options.benchReps = std::stoi(next());
+            options.benchReps = next_int(1);
         } else if (arg == "--warmups") {
-            options.benchWarmups = std::stoi(next());
+            options.benchWarmups = next_int(0);
         } else if (arg == "--no-timing") {
             options.benchNoTiming = true;
         } else if (arg == "--out") {
@@ -460,9 +517,9 @@ parseOptions(int argc, char **argv, int first, Options &options)
         } else if (arg == "--baseline") {
             options.benchBaseline = next();
         } else if (arg == "--threshold") {
-            options.benchThreshold = std::stod(next());
+            options.benchThreshold = next_real();
         } else if (arg == "--inject-slowdown") {
-            options.benchInjectSlowdown = std::stod(next());
+            options.benchInjectSlowdown = next_real(0.0);
         } else if (arg == "--case") {
             options.benchOnly.push_back(next());
         } else if (arg.rfind("--", 0) == 0) {
@@ -510,6 +567,22 @@ emitLedger(const Options &options, const obs::RunLedger &ledger)
         fatal("cannot write ledger '", options.ledgerFile, "'");
     }
     std::printf("wrote ledger to %s\n", options.ledgerFile.c_str());
+}
+
+/** The --sweep table's ledger rows, one per swept K or budget. */
+using SweepRows = std::vector<std::vector<obs::Value>>;
+
+/** Append the --sweep rows, when there are any, as table "sweep". */
+void
+addSweepTable(obs::RunLedger &ledger,
+              const std::vector<std::string> &columns,
+              const SweepRows &rows)
+{
+    if (rows.empty())
+        return;
+    ledger.table("sweep", columns);
+    for (const auto &row : rows)
+        ledger.addRow("sweep", row);
 }
 
 /** Enforce an audit when SUPERNPU_AUDIT (env or build) enables it. */
@@ -945,8 +1018,8 @@ cmdPartition(const Options &options, const dnn::Network &net)
 
     obs::AuditReport audit = obs::auditPipeline(run);
     audit.merge(obs::auditPipeline(solo));
-    maybeAudit(audit, "partition " + net.name);
 
+    SweepRows sweep_rows;
     if (options.sweep) {
         std::printf("\n");
         TextTable sweep("pipeline K-sweep");
@@ -960,26 +1033,45 @@ cmdPartition(const Options &options, const dnn::Network &net)
             if (k > (int)net.layers.size())
                 break;
             const auto swept = pipeline.run(net, k, batch, batches);
+            audit.merge(obs::auditPipeline(swept));
+            const double speedup = swept.steadyInferencesPerSec() /
+                                   solo.steadyInferencesPerSec();
             double util_sum = 0.0;
             for (int s = 0; s < swept.plan.stageCount(); ++s)
                 util_sum += swept.plan.stageUtilization(s);
             sweep.row()
                 .cell((long long)k)
                 .cell(swept.steadyInferencesPerSec(), 0)
-                .cell(swept.steadyInferencesPerSec() /
-                          solo.steadyInferencesPerSec(),
-                      2)
+                .cell(speedup, 2)
                 .cell(swept.plan.fillLatencySec() * 1e6, 2)
                 .cell(util_sum / (double)swept.plan.stageCount(), 3);
+            sweep_rows.push_back(
+                {obs::Value::integer(
+                     (std::uint64_t)swept.plan.stageCount()),
+                 obs::Value::real(swept.steadyInferencesPerSec()),
+                 obs::Value::real(speedup),
+                 obs::Value::real(swept.plan.fillLatencySec()),
+                 obs::Value::integer(
+                     (std::uint64_t)swept.plan.bottleneckStage),
+                 obs::Value::integer(swept.plan.bottleneckCycles),
+                 obs::Value::integer(swept.totalLinkCycles),
+                 obs::Value::integer(swept.makespanCycles)});
         }
         sweep.print();
     }
+    maybeAudit(audit, "partition " + net.name);
 
     if (!options.ledgerFile.empty()) {
         obs::RunLedger ledger;
         obs::addPipelineResult(ledger, run);
         obs::addSimCacheStats(ledger,
                               npusim::SimCache::global().stats());
+        addSweepTable(ledger,
+                      {"stages", "steadyInfPerSec", "speedup",
+                       "fillLatencySec", "bottleneckStage",
+                       "bottleneckCycles", "totalLinkCycles",
+                       "makespanCycles"},
+                      sweep_rows);
         emitLedger(options, ledger);
     }
     return 0;
@@ -1076,6 +1168,7 @@ cmdShard(const Options &options, const dnn::Network &net)
 
     obs::AuditReport audit = obs::auditSharding(plan);
 
+    SweepRows sweep_rows;
     if (options.sweep) {
         std::printf("\n");
         TextTable sweep("shard budget sweep");
@@ -1107,6 +1200,18 @@ cmdShard(const Options &options, const dnn::Network &net)
                 .cell(best.throughput(), 0)
                 .cell(best.speedup(), 2)
                 .cell(best.latencySec() * 1e6, 2);
+            sweep_rows.push_back(
+                {obs::Value::integer((std::uint64_t)sweep_budget),
+                 obs::Value::integer((std::uint64_t)best.dataParallel),
+                 obs::Value::integer((std::uint64_t)best.tensorShards),
+                 obs::Value::integer(
+                     (std::uint64_t)best.pipelineStages),
+                 obs::Value::real(best.throughput()),
+                 obs::Value::real(best.speedup()),
+                 obs::Value::real(best.latencySec()),
+                 obs::Value::integer(best.intervalCycles),
+                 obs::Value::integer(best.tensorCollectiveCycles),
+                 obs::Value::integer(best.gatherCycles)});
         }
         sweep.print();
     }
@@ -1119,6 +1224,12 @@ cmdShard(const Options &options, const dnn::Network &net)
                               npusim::SimCache::global().stats());
         obs::addLayerTimingCacheStats(ledger,
                                       planner.timingCacheStats());
+        addSweepTable(ledger,
+                      {"budget", "dataParallel", "tensorShards",
+                       "pipelineStages", "throughput", "speedup",
+                       "latencySec", "intervalCycles",
+                       "tensorCollectiveCycles", "gatherCycles"},
+                      sweep_rows);
         emitLedger(options, ledger);
     }
     return 0;
