@@ -10,37 +10,26 @@
  * simulation per distinct batch size — so results are memoized here
  * under a key of (workload hash, config hash, batch).
  *
- * The cache is safe for concurrent use from a ThreadPool sweep: a
- * lookup/insert holds one mutex, and a miss releases it while the
- * simulation runs so other keys proceed in parallel. Concurrent
- * misses on the SAME key are collapsed into one flight: the first
- * arrival simulates, later arrivals block until the result lands and
- * then share it. Waiters are accounted as hits — exactly what the
- * serial run would count when it reached the same lookup after the
- * leader's insert — so hit/miss/eviction totals are identical at any
- * job count. The parallel planner and check sweeps embed these
- * counters in byte-compared ledgers, which makes that determinism
- * load-bearing, and the dedup also stops a sweep from burning cores
- * on N identical simulations of one hot key.
- *
- * Entries are evicted least-recently-used past `maxEntries`. Handing
- * out shared_ptr<const SimResult> keeps a result valid even if it is
- * evicted while a caller still reads it.
+ * The store is a common/memo.hh SingleFlightMemo: safe for
+ * concurrent use from a ThreadPool sweep, with concurrent misses on
+ * the same key collapsed into one simulation whose waiters count as
+ * hits, so hit/miss/eviction totals are identical at any job count
+ * (the parallel planner and check sweeps embed them in byte-compared
+ * ledgers). Entries are evicted least-recently-used past
+ * `maxEntries`; a shared_ptr<const SimResult> stays valid even if it
+ * is evicted while a caller still reads it.
  */
 
 #ifndef SUPERNPU_NPUSIM_SIM_CACHE_HH
 #define SUPERNPU_NPUSIM_SIM_CACHE_HH
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/memo.hh"
 #include "dnn/layer.hh"
 #include "estimator/npu_config.hh"
 #include "result.hh"
@@ -112,12 +101,7 @@ struct SimKey
 };
 
 /** Monotonically-counted cache statistics. */
-struct SimCacheStats
-{
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-};
+using SimCacheStats = MemoStats;
 
 /** Thread-safe LRU-memoized store of SimResults. */
 class SimCache
@@ -158,17 +142,21 @@ class SimCache
     getOrCompute(const SimKey &key,
                  const std::function<SimResult()> &compute);
 
-    /** Lookup without simulating; null when absent. Counts a hit. */
-    std::shared_ptr<const SimResult> find(const SimKey &key);
+    /** Lookup without simulating; null when absent. Counts a hit or
+     *  a miss. */
+    std::shared_ptr<const SimResult> find(const SimKey &key)
+    {
+        return _memo.find(key);
+    }
 
     /** Entries currently resident. */
-    std::size_t size() const;
+    std::size_t size() const { return _memo.size(); }
 
     /** Hit/miss/eviction counters since construction or clear(). */
-    SimCacheStats stats() const;
+    SimCacheStats stats() const { return _memo.stats(); }
 
     /** Drop every entry and reset the counters. */
-    void clear();
+    void clear() { _memo.clear(); }
 
     /**
      * The process-wide cache every sweep shares by default, so e.g.
@@ -179,43 +167,12 @@ class SimCache
     static constexpr std::size_t kDefaultMaxEntries = 4096;
 
   private:
-    struct Entry
-    {
-        SimKey key;
-        std::shared_ptr<const SimResult> result;
-    };
     struct KeyHash
     {
         std::size_t operator()(const SimKey &key) const;
     };
-    /** One in-progress simulation other threads can wait on. */
-    struct Flight
-    {
-        std::shared_ptr<const SimResult> result;
-        std::exception_ptr error;
-        bool done = false; ///< under _mutex
-    };
 
-    /** Lookup + LRU promote under the lock; no accounting. */
-    std::shared_ptr<const SimResult> peekLocked(const SimKey &key);
-    /** Lookup under the lock; promotes and counts a hit or miss. */
-    std::shared_ptr<const SimResult> lookupLocked(const SimKey &key);
-    void countHitLocked();
-    void countMissLocked();
-    /** Insert under the lock; evicts LRU entries past capacity. */
-    std::shared_ptr<const SimResult>
-    insertLocked(const SimKey &key,
-                 std::shared_ptr<const SimResult> result);
-
-    mutable std::mutex _mutex;
-    std::condition_variable _flightDone; ///< any flight completed
-    std::list<Entry> _lru; ///< front = most recently used
-    std::unordered_map<SimKey, std::list<Entry>::iterator, KeyHash>
-        _index;
-    std::unordered_map<SimKey, std::shared_ptr<Flight>, KeyHash>
-        _inflight;
-    std::size_t _maxEntries;
-    SimCacheStats _stats;
+    SingleFlightMemo<SimKey, SimResult, KeyHash> _memo;
 };
 
 } // namespace npusim

@@ -38,7 +38,6 @@
 #include "npusim/result.hh"
 #include "perf/profile.hh"
 #include "npusim/sim_cache.hh"
-#include "partition/layer_timing_cache.hh"
 #include "partition/pipeline_sim.hh"
 #include "reliability/fault_model.hh"
 #include "serving/metrics.hh"

@@ -71,8 +71,8 @@ void
 LinkConfig::check() const
 {
     if (bandwidthGBps <= 0.0)
-        fatal("link bandwidth must be positive, got %g GB/s",
-              bandwidthGBps);
+        fatal("link bandwidth must be positive, got ", bandwidthGBps,
+              " GB/s");
 }
 
 std::uint64_t

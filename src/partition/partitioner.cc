@@ -147,14 +147,14 @@ Partitioner::cutTable(const dnn::Network &network, int max_stages,
 {
     network.check();
     if (max_stages < 1)
-        fatal("pipeline needs at least 1 stage, got %d", max_stages);
+        fatal("pipeline needs at least 1 stage, got ", max_stages);
     if (batch < 1)
-        fatal("batch must be at least 1, got %d", batch);
+        fatal("batch must be at least 1, got ", batch);
 
     const int n = (int)network.layers.size();
     if (max_stages > n) {
-        warn("network '%s' has %d layers; clamping %d pipeline "
-             "stages to %d", network.name.c_str(), n, max_stages, n);
+        warn("network '", network.name, "' has ", n, " layers; clamping ",
+             max_stages, " pipeline stages to ", n);
         max_stages = n;
     }
     const int k = max_stages;
@@ -174,8 +174,8 @@ Partitioner::cutTable(const dnn::Network &network, int max_stages,
     // planner groups that differ only in R share a replica share,
     // and only the first pays for the derivation (and its
     // whole-network simulation lookup).
-    table.timings = _timings.getOrBuild(
-        table.networkHash, batch, [&] {
+    table.timings = _timings.getOrCompute(
+        {table.networkHash, batch}, [&] {
             return buildTimings(network, table.networkHash, batch);
         });
     const std::vector<double> &prefix = table.timings->prefix;

@@ -36,17 +36,57 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/memo.hh"
 #include "dnn/layer.hh"
 #include "estimator/npu_estimator.hh"
-#include "layer_timing_cache.hh"
 #include "link_model.hh"
 #include "npusim/sim.hh"
 #include "npusim/sim_cache.hh"
 
 namespace supernpu {
 namespace partition {
+
+/** The cut-search inputs derived from one (network, batch) point. */
+struct LayerTimings
+{
+    std::string configName;
+    double frequencyGhz = 0.0;
+    /** prefix[l] = Σ simulated cycles of layers [0, l); size n+1. */
+    std::vector<double> prefix;
+    /** Outbound link occupancy if the boundary sits after layer l;
+     *  size n, 0 after the last layer (nothing to ship). */
+    std::vector<double> linkAfter;
+    std::vector<std::uint64_t> linkCycles; ///< size n
+    std::vector<std::uint64_t> linkBytes;  ///< size n
+
+    int layerCount() const { return (int)prefix.size() - 1; }
+};
+
+/** Hash of a LayerTimings memo key: (network hash, batch). */
+struct LayerTimingKeyHash
+{
+    std::size_t operator()(const std::pair<std::uint64_t, int> &key) const
+    {
+        return (std::size_t)(key.first ^
+                             (std::uint64_t)(std::uint32_t)key.second *
+                                 0x9e3779b97f4a7c15ull);
+    }
+};
+
+/**
+ * The partitioner's memo of LayerTimings. Only (network, batch)
+ * determine them — the design point and link are fixed per
+ * Partitioner — so planner groups that differ only in R share one
+ * derivation. Unbounded: one small vector set per (network, batch)
+ * a search touches.
+ */
+using LayerTimingCache =
+    SingleFlightMemo<std::pair<std::uint64_t, int>, LayerTimings,
+                     LayerTimingKeyHash>;
+using LayerTimingCacheStats = MemoStats;
 
 /** One contiguous run of layers placed on one chip. */
 struct PipelineStage
@@ -221,7 +261,8 @@ class Partitioner
     npusim::SimCache *_cache;
     std::uint64_t _configHash = 0;
     /** partition() is const; the memo mutates under its own lock. */
-    mutable LayerTimingCache _timings;
+    mutable LayerTimingCache _timings{0, "partition.timingCache.hits",
+                                      "partition.timingCache.misses"};
 };
 
 } // namespace partition

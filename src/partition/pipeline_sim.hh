@@ -24,9 +24,7 @@
 #ifndef SUPERNPU_PARTITION_PIPELINE_SIM_HH
 #define SUPERNPU_PARTITION_PIPELINE_SIM_HH
 
-#include <map>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "partitioner.hh"
@@ -120,8 +118,7 @@ class PipelineServiceModel
     dnn::Network _net;
     int _stages;
 
-    mutable std::mutex _mutex;
-    mutable std::map<int, Timing> _memo;
+    mutable SingleFlightMemo<int, Timing> _memo; ///< keyed by batch
 };
 
 } // namespace partition

@@ -12,6 +12,7 @@
 #include <fstream>
 
 #include "check/runner.hh"
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "dnn/networks.hh"
@@ -68,18 +69,14 @@ class Fingerprint
   public:
     void mix(const void *bytes, std::size_t len)
     {
-        const unsigned char *p = (const unsigned char *)bytes;
-        for (std::size_t i = 0; i < len; ++i) {
-            _hash ^= p[i];
-            _hash *= 0x100000001b3ull;
-        }
+        fnv1aBytes(_hash, bytes, len);
     }
     void mix(const std::string &text) { mix(text.data(), text.size()); }
     void mix(double value) { mix(&value, sizeof value); }
     std::uint64_t value32() const { return _hash & 0xffffffffull; }
 
   private:
-    std::uint64_t _hash = 0xcbf29ce484222325ull;
+    std::uint64_t _hash = kFnv1aOffset;
 };
 
 /** The paper's RSFQ 1.0 um SuperNPU design point. */

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
@@ -232,27 +233,15 @@ FaultSchedule::hash() const
 {
     if (_events.empty())
         return 0; // the clean-run SimKey value
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    const auto mix = [&hash](std::uint64_t word) {
-        for (int i = 0; i < 8; ++i) {
-            hash ^= (word >> (8 * i)) & 0xff;
-            hash *= 0x100000001b3ull;
-        }
-    };
-    const auto mix_double = [&mix](double value) {
-        std::uint64_t bits;
-        static_assert(sizeof(bits) == sizeof(value));
-        __builtin_memcpy(&bits, &value, sizeof(bits));
-        mix(bits);
-    };
-    mix((std::uint64_t)_events.size());
+    std::uint64_t hash = kFnv1aOffset;
+    fnv1aWord(hash, (std::uint64_t)_events.size());
     for (const FaultEvent &event : _events) {
-        mix_double(event.timeSec);
-        mix((std::uint64_t)event.kind);
-        mix((std::uint64_t)event.chip);
-        mix_double(event.magnitude);
-        mix_double(event.durationSec);
-        mix((std::uint64_t)event.trapTarget);
+        fnv1aDouble(hash, event.timeSec);
+        fnv1aWord(hash, (std::uint64_t)event.kind);
+        fnv1aWord(hash, (std::uint64_t)event.chip);
+        fnv1aDouble(hash, event.magnitude);
+        fnv1aDouble(hash, event.durationSec);
+        fnv1aWord(hash, (std::uint64_t)event.trapTarget);
     }
     return hash;
 }

@@ -491,6 +491,18 @@ ServingSimulator::run()
         launch_batch(index, std::move(batch));
     };
 
+    // A single-chip batch leaves flight (completed or killed): free
+    // the chip and try the next launch on it.
+    const auto release_chip = [&](int index) {
+        Chip &chip = chips[index];
+        recycle_batch_buffer(std::move(chip.inFlight));
+        chip.inFlight.clear();
+        chip.busy = false;
+        chip.corrupted = false;
+        chip.pendingDoneSeq = kNoSeq;
+        try_launch(index);
+    };
+
     // Seed the calendar: open-loop sources self-schedule; closed-loop
     // clients all fire their first request at t = 0.
     if (arrivals.openLoop()) {
@@ -588,12 +600,7 @@ ServingSimulator::run()
             const bool failed = chip.corrupted;
             for (const Request &request : chip.inFlight)
                 complete_request(request, failed);
-            recycle_batch_buffer(std::move(chip.inFlight));
-            chip.inFlight.clear();
-            chip.busy = false;
-            chip.corrupted = false;
-            chip.pendingDoneSeq = kNoSeq;
-            try_launch(event.chip);
+            release_chip(event.chip);
             break;
           }
           case EventKind::Fault: {
@@ -608,55 +615,43 @@ ServingSimulator::run()
             ++faults_seen;
             const bool detects =
                 res.recovery != RecoveryPolicy::None;
-            // In pipelined mode corruption hits every batch in
-            // flight in the group — each is mid-stream through the
-            // faulted stage's pipeline. Returns whether any batch
-            // was *newly* corrupted (Detect is armed once per wave).
-            const auto corrupt_pipeline = [&]() {
-                bool newly = false;
-                for (PipeBatch &pipe_batch : chip.pipeInFlight) {
-                    if (!pipe_batch.corrupted) {
-                        pipe_batch.corrupted = true;
-                        newly = true;
+            // Corrupt the group's in-flight work and, under a
+            // recovering policy, arm its Detect. In pipelined mode
+            // corruption hits every batch in flight in the group —
+            // each is mid-stream through the faulted stage's
+            // pipeline — and Detect is armed once per wave of newly
+            // corrupted batches.
+            const auto corrupt = [&]() {
+                if (pipelined) {
+                    bool newly = false;
+                    for (PipeBatch &pipe_batch : chip.pipeInFlight) {
+                        if (!pipe_batch.corrupted) {
+                            pipe_batch.corrupted = true;
+                            newly = true;
+                        }
+                    }
+                    if (newly && detects) {
+                        schedule_tagged(clock + res.detectLatencySec,
+                                        EventKind::Detect, target, 0);
+                    }
+                } else if (chip.busy && !chip.corrupted) {
+                    chip.corrupted = true;
+                    chip.corruptedAtSec = clock;
+                    chip.glitchAtCorruptSec = chip.glitchSec;
+                    if (detects) {
+                        schedule_tagged(clock + res.detectLatencySec,
+                                        EventKind::Detect, target,
+                                        chip.launchGen);
                     }
                 }
-                return newly;
             };
             switch (fault.kind) {
               case reliability::FaultKind::PulseDrop:
-                if (pipelined) {
-                    if (corrupt_pipeline() && detects) {
-                        schedule_tagged(clock + res.detectLatencySec,
-                                        EventKind::Detect, target, 0);
-                    }
-                } else if (chip.busy && !chip.corrupted) {
-                    chip.corrupted = true;
-                    chip.corruptedAtSec = clock;
-                    chip.glitchAtCorruptSec = chip.glitchSec;
-                    if (detects) {
-                        schedule_tagged(clock + res.detectLatencySec,
-                                        EventKind::Detect, target,
-                                        chip.launchGen);
-                    }
-                }
+                corrupt();
                 break;
               case reliability::FaultKind::FluxTrap:
                 // The trap corrupts in-flight work like a drop...
-                if (pipelined) {
-                    if (corrupt_pipeline() && detects) {
-                        schedule_tagged(clock + res.detectLatencySec,
-                                        EventKind::Detect, target, 0);
-                    }
-                } else if (chip.busy && !chip.corrupted) {
-                    chip.corrupted = true;
-                    chip.corruptedAtSec = clock;
-                    chip.glitchAtCorruptSec = chip.glitchSec;
-                    if (detects) {
-                        schedule_tagged(clock + res.detectLatencySec,
-                                        EventKind::Detect, target,
-                                        chip.launchGen);
-                    }
-                }
+                corrupt();
                 // ...and permanently derates the remapped array —
                 // in pipelined mode the derated stage throttles the
                 // whole group, so the loss covers all K chips.
@@ -856,12 +851,7 @@ ServingSimulator::run()
                 // Kill the batch; requests back off and re-enter,
                 // or give up past their retry/deadline budget.
                 kill_requests(chip.inFlight);
-                recycle_batch_buffer(std::move(chip.inFlight));
-                chip.inFlight.clear();
-                chip.busy = false;
-                chip.corrupted = false;
-                chip.pendingDoneSeq = kNoSeq;
-                try_launch(event.chip);
+                release_chip(event.chip);
             }
             break;
           }

@@ -72,6 +72,16 @@ TEST(LinkModel, ActivationBytesSaturateOnAbsurdShapes)
     EXPECT_EQ(activationBytes(layer, 1000), kMax);
 }
 
+TEST(LinkModelDeath, ZeroBandwidthIsFatalAndNamesTheValue)
+{
+    // The message is stream-composed: it must print the value, not
+    // a literal printf conversion.
+    LinkConfig link;
+    link.bandwidthGBps = 0.0;
+    EXPECT_EXIT(link.check(), ::testing::ExitedWithCode(1),
+                "link bandwidth must be positive, got 0 GB/s");
+}
+
 // --- partitioner -----------------------------------------------------
 
 /** Shared design point + a cheap four-conv network. */
@@ -271,20 +281,20 @@ TEST(LayerTimingCache, MemoizesOneBuildPerKey)
         ++builds;
         return namedTimings("a");
     };
-    const auto first = cache.getOrBuild(0x51, 4, build);
+    const auto first = cache.getOrCompute({0x51, 4}, build);
     EXPECT_EQ(builds, 1);
     EXPECT_EQ(first->layerCount(), 1);
     EXPECT_EQ(cache.stats().misses, 1u);
     EXPECT_EQ(cache.stats().hits, 0u);
 
     // Same key: the very same shared object, no rebuild.
-    const auto again = cache.getOrBuild(0x51, 4, build);
+    const auto again = cache.getOrCompute({0x51, 4}, build);
     EXPECT_EQ(builds, 1);
     EXPECT_EQ(again.get(), first.get());
     EXPECT_EQ(cache.stats().hits, 1u);
 
     // A different batch is a different key.
-    const auto other = cache.getOrBuild(0x51, 8, build);
+    const auto other = cache.getOrCompute({0x51, 8}, build);
     EXPECT_EQ(builds, 2);
     EXPECT_NE(other.get(), first.get());
     EXPECT_EQ(cache.size(), 2u);
@@ -298,10 +308,10 @@ TEST(LayerTimingCache, TrustsTheNetworkHashUntilCleared)
     // timing derivation reads; this pins that contract, and that
     // clear() is the only invalidation.
     LayerTimingCache cache;
-    const auto first = cache.getOrBuild(
-        7, 1, [] { return namedTimings("first"); });
-    const auto collided = cache.getOrBuild(
-        7, 1, [] { return namedTimings("second"); });
+    const auto first = cache.getOrCompute(
+        {7, 1}, [] { return namedTimings("first"); });
+    const auto collided = cache.getOrCompute(
+        {7, 1}, [] { return namedTimings("second"); });
     EXPECT_EQ(collided.get(), first.get());
     EXPECT_EQ(collided->configName, "first");
 
@@ -309,8 +319,8 @@ TEST(LayerTimingCache, TrustsTheNetworkHashUntilCleared)
     EXPECT_EQ(cache.size(), 0u);
     EXPECT_EQ(cache.stats().hits, 0u);
     EXPECT_EQ(cache.stats().misses, 0u);
-    const auto rebuilt = cache.getOrBuild(
-        7, 1, [] { return namedTimings("second"); });
+    const auto rebuilt = cache.getOrCompute(
+        {7, 1}, [] { return namedTimings("second"); });
     EXPECT_EQ(rebuilt->configName, "second");
     EXPECT_EQ(cache.stats().misses, 1u);
 }
