@@ -6,7 +6,7 @@ iteration) and exits 1 unless its result line, the last line of
 stdout, reports "correct": true. run.py itself exits 0 on an output
 mismatch, so the gate has to read that JSON.
 
-    python3 scripts/check_bench_outputs.py serve_fleet serve_faults plan_fleet
+    python3 scripts/check_bench_outputs.py serve_fleet serve_faults plan_fleet jsim_fig07
     python3 scripts/check_bench_outputs.py --tamper serve_fleet plan_fleet
 
 --tamper checks the gate itself. It runs against a copy of

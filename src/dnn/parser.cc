@@ -5,7 +5,10 @@
 
 #include "parser.hh"
 
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -31,22 +34,84 @@ tokenize(const std::string &line)
     return tokens;
 }
 
-/** Parse a required integer field; '-' is not allowed here. */
+/** Parse a required integer field that must fit in an int. */
 int
 intField(const std::string &token, int line_no, const char *what)
 {
-    SUPERNPU_ASSERT(token != "-", "line ", line_no, ": field '", what,
-                    "' is required for this layer kind");
-    try {
-        std::size_t used = 0;
-        const int value = std::stoi(token, &used);
-        SUPERNPU_ASSERT(used == token.size(), "line ", line_no,
-                        ": bad integer '", token, "' for ", what);
-        return value;
-    } catch (const std::exception &) {
-        panic("line ", line_no, ": bad integer '", token, "' for ",
-              what);
-    }
+    if (token == "-")
+        fatal("line ", line_no, ": field '", what,
+              "' is required for this layer kind");
+    errno = 0;
+    char *end = nullptr;
+    const long long value = std::strtoll(token.c_str(), &end, 10);
+    if (end == token.c_str() || *end != '\0')
+        fatal("line ", line_no, ": bad integer '", token,
+              "' for field '", what, "'");
+    if (errno == ERANGE || value < std::numeric_limits<int>::min() ||
+        value > std::numeric_limits<int>::max())
+        fatal("line ", line_no, ": field '", what, "' value ", token,
+              " does not fit in an int");
+    return (int)value;
+}
+
+/** Parse a required integer field that must be positive. */
+int
+positiveField(const std::string &token, int line_no, const char *what)
+{
+    const int value = intField(token, line_no, what);
+    if (value <= 0)
+        fatal("line ", line_no, ": field '", what,
+              "' must be positive, got ", value);
+    return value;
+}
+
+/** Require a field the layer kind does not use to be written '-'. */
+void
+unusedField(const std::string &token, int line_no, const char *what,
+            const std::string &kind)
+{
+    if (token != "-")
+        fatal("line ", line_no, ": field '", what, "' is unused by ",
+              kind, " and must be '-', got '", token, "'");
+}
+
+/** The validated spatial fields of a conv or dwconv line. */
+struct SpatialFields
+{
+    int inC = 0;
+    int inHW = 0;
+    int kernel = 0;
+    int stride = 0;
+    int padding = 0;
+};
+
+/**
+ * Parse a conv/dwconv line's spatial fields, rejecting any value the
+ * layer arithmetic cannot take: a non-positive size, kernel or
+ * stride, negative padding, or a kernel that leaves no output.
+ */
+SpatialFields
+spatialFields(const std::vector<std::string> &tokens, int line_no)
+{
+    SpatialFields f;
+    f.inC = positiveField(tokens[2], line_no, "inC");
+    f.inHW = positiveField(tokens[3], line_no, "inHW");
+    f.kernel = positiveField(tokens[5], line_no, "kernel");
+    f.stride = positiveField(tokens[6], line_no, "stride");
+    f.padding = intField(tokens[7], line_no, "padding");
+    if (f.padding < 0)
+        fatal("line ", line_no, ": field 'padding' must be >= 0, got ",
+              f.padding);
+    const long long padded = (long long)f.inHW + 2LL * f.padding;
+    if (padded > std::numeric_limits<int>::max())
+        fatal("line ", line_no, ": field 'padding' ", f.padding,
+              " makes the padded input ", padded,
+              " too large for an int");
+    if (f.kernel > padded)
+        fatal("line ", line_no, ": field 'kernel' ", f.kernel,
+              " exceeds the padded input ", padded,
+              " (inHW + 2 * padding), leaving no output");
+    return f;
 }
 
 } // namespace
@@ -66,50 +131,53 @@ parseNetwork(const std::string &text)
             continue;
 
         if (tokens[0] == "network") {
-            SUPERNPU_ASSERT(tokens.size() >= 2, "line ", line_no,
-                            ": 'network' needs a name");
-            SUPERNPU_ASSERT(net.name.empty(), "line ", line_no,
-                            ": duplicate 'network' line");
+            if (tokens.size() < 2)
+                fatal("line ", line_no, ": 'network' needs a name");
+            if (!net.name.empty())
+                fatal("line ", line_no, ": duplicate 'network' line");
             net.name = tokens[1];
             continue;
         }
 
-        SUPERNPU_ASSERT(!net.name.empty(), "line ", line_no,
-                        ": the first entry must be 'network <name>'");
-        SUPERNPU_ASSERT(tokens.size() == 8, "line ", line_no,
-                        ": expected 8 fields, got ", tokens.size());
-
+        if (net.name.empty())
+            fatal("line ", line_no,
+                  ": the first entry must be 'network <name>'");
         const std::string &kind = tokens[0];
+        if (kind != "conv" && kind != "dwconv" && kind != "fc")
+            fatal("line ", line_no, ": field 'kind' names an unknown "
+                  "layer kind '", kind, "' (conv, dwconv, fc)");
+        if (tokens.size() != 8)
+            fatal("line ", line_no, ": expected 8 fields, got ",
+                  tokens.size());
+
         const std::string &name = tokens[1];
         if (kind == "conv") {
+            const SpatialFields f = spatialFields(tokens, line_no);
             net.layers.push_back(
-                conv(name, intField(tokens[2], line_no, "inC"),
-                     intField(tokens[3], line_no, "inHW"),
-                     intField(tokens[4], line_no, "outC"),
-                     intField(tokens[5], line_no, "kernel"),
-                     intField(tokens[6], line_no, "stride"),
-                     intField(tokens[7], line_no, "padding")));
+                conv(name, f.inC, f.inHW,
+                     positiveField(tokens[4], line_no, "outC"), f.kernel,
+                     f.stride, f.padding));
         } else if (kind == "dwconv") {
-            Layer layer = depthwise(
-                name, intField(tokens[2], line_no, "inC"),
-                intField(tokens[3], line_no, "inHW"),
-                intField(tokens[6], line_no, "stride"));
-            layer.kernelH = layer.kernelW =
-                intField(tokens[5], line_no, "kernel");
-            layer.padding = intField(tokens[7], line_no, "padding");
+            const SpatialFields f = spatialFields(tokens, line_no);
+            unusedField(tokens[4], line_no, "outC", kind);
+            Layer layer = depthwise(name, f.inC, f.inHW, f.stride);
+            layer.kernelH = layer.kernelW = f.kernel;
+            layer.padding = f.padding;
             layer.check();
             net.layers.push_back(layer);
-        } else if (kind == "fc") {
-            net.layers.push_back(fullyConnected(
-                name, intField(tokens[2], line_no, "inC"),
-                intField(tokens[4], line_no, "outC")));
         } else {
-            panic("line ", line_no, ": unknown layer kind '", kind,
-                  "' (conv, dwconv, fc)");
+            unusedField(tokens[3], line_no, "inHW", kind);
+            unusedField(tokens[5], line_no, "kernel", kind);
+            unusedField(tokens[6], line_no, "stride", kind);
+            unusedField(tokens[7], line_no, "padding", kind);
+            net.layers.push_back(fullyConnected(
+                name, positiveField(tokens[2], line_no, "inC"),
+                positiveField(tokens[4], line_no, "outC")));
         }
     }
 
-    SUPERNPU_ASSERT(!net.layers.empty(), "description has no layers");
+    if (net.layers.empty())
+        fatal("description has no layers");
     net.check();
     return net;
 }

@@ -29,8 +29,12 @@ namespace supernpu {
 namespace dnn {
 
 /**
- * Parse a network description; panics with a line-numbered message
- * on malformed input (fatal is reserved for end-user tooling).
+ * Parse a network description. Malformed input is a fatal() whose
+ * message names the line and the offending field: a missing or
+ * non-integer value, one outside the int range, a non-positive size,
+ * filter count, kernel or stride, negative padding, a kernel that
+ * leaves no output, a value in a field the kind does not use, or an
+ * unknown layer kind.
  */
 Network parseNetwork(const std::string &text);
 

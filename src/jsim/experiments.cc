@@ -14,14 +14,15 @@
 namespace supernpu {
 namespace jsim {
 
-std::size_t
-shiftRegisterOutputCount(ClockRouting routing, double clock_period,
-                         std::size_t bits)
+ShiftRegister
+buildShiftRegister(ClockRouting routing, double clock_period,
+                   std::size_t bits)
 {
     SUPERNPU_ASSERT(clock_period > 0 && bits > 0, "bad experiment");
 
     DeviceParams params;
-    Circuit circuit;
+    ShiftRegister sr;
+    Circuit &circuit = sr.circuit;
 
     // Data source: one SFQ per clock period.
     JtlChain data_jtl = appendJtl(circuit, params, 3, "D");
@@ -73,13 +74,19 @@ shiftRegisterOutputCount(ClockRouting routing, double clock_period,
 
     const JtlChain out =
         appendJtlFrom(circuit, params, stage2.output, 2, "O");
-
-    TransientConfig config;
-    config.duration =
+    sr.outputJunction = out.junctionIndices.back();
+    sr.config.duration =
         60e-12 + clock_period * (double)(bits + 4) + 100e-12;
-    TransientSimulator sim(circuit, config);
-    const TransientResult result = sim.run();
-    return result.switchCount(out.junctionIndices.back());
+    return sr;
+}
+
+std::size_t
+shiftRegisterOutputCount(ClockRouting routing, double clock_period,
+                         std::size_t bits)
+{
+    const ShiftRegister sr = buildShiftRegister(routing, clock_period, bits);
+    const TransientSimulator sim(sr.circuit, sr.config);
+    return sim.run().switchCount(sr.outputJunction);
 }
 
 double

@@ -29,6 +29,21 @@ enum class ClockRouting
 };
 
 /**
+ * The two-stage shift register of the Fig. 7 experiment, loaded with
+ * `bits` ones at one clock period.
+ */
+struct ShiftRegister
+{
+    Circuit circuit;
+    std::size_t outputJunction = 0; ///< last junction of the output JTL
+    TransientConfig config;         ///< spans every bit plus settling
+};
+
+/** Build the shift register; see shiftRegisterOutputCount. */
+ShiftRegister buildShiftRegister(ClockRouting routing,
+                                 double clock_period, std::size_t bits);
+
+/**
  * Run the two-stage shift register at one clock period and count how
  * many of `bits` stored ones reach the output.
  */

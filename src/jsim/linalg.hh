@@ -1,8 +1,9 @@
 /**
  * @file
- * Minimal dense linear algebra for the circuit simulator: a dense
- * matrix with LU factorization (partial pivoting) reused across
- * thousands of time steps.
+ * Minimal linear algebra for the circuit simulator: a dense matrix
+ * with LU factorization (partial pivoting) that is factored once and
+ * solved through its nonzero factor entries across thousands of time
+ * steps.
  */
 
 #ifndef SUPERNPU_JSIM_LINALG_HH
@@ -39,6 +40,11 @@ class DenseMatrix
 /**
  * LU factorization with partial pivoting of a square matrix,
  * factored once and solved many times.
+ *
+ * The factorization is dense; the factors are then kept only as
+ * their nonzero entries. A circuit's mass matrix is nearly diagonal
+ * (capacitances couple only the two nodes of a floating junction),
+ * so a solve costs O(n + nonzeros) instead of O(n^2).
  */
 class LuFactorization
 {
@@ -46,15 +52,41 @@ class LuFactorization
     /** Factor the given square matrix; panics when singular. */
     explicit LuFactorization(const DenseMatrix &matrix);
 
-    /** Solve A x = b in place: `b` becomes the solution. */
-    void solveInPlace(std::vector<double> &b) const;
+    /**
+     * Solve A x = b in place: `b` becomes the solution. `work` is
+     * caller-owned scratch of any content, resized to size(), so a
+     * caller that keeps it across calls solves without allocating.
+     *
+     * Terms are accumulated in the order of a dense forward and back
+     * substitution, skipping only products with a zero factor entry,
+     * so for a finite `b` with no negative-zero entries the result
+     * is bit-identical to the dense solve.
+     */
+    void solveInPlace(std::vector<double> &b,
+                      std::vector<double> &work) const;
 
     std::size_t size() const { return _size; }
 
+    /** Stored off-diagonal factor entries (L below, U above). */
+    std::size_t offDiagonalNonzeros() const { return _entries.size(); }
+
   private:
+    /** One nonzero off-diagonal factor entry of a row. */
+    struct Entry
+    {
+        std::size_t col;
+        double value;
+    };
+
     std::size_t _size = 0;
-    std::vector<double> _lu;        // packed LU factors, row-major
     std::vector<std::size_t> _perm; // row permutation
+    std::vector<double> _diag;      // U's diagonal
+    /** Row r's L entries are _entries[_lowerBegin[r] ..
+     *  _upperBegin[r]), its U entries _entries[_upperBegin[r] ..
+     *  _lowerBegin[r + 1]), each in ascending column order. */
+    std::vector<Entry> _entries;
+    std::vector<std::size_t> _lowerBegin; // size() + 1 offsets
+    std::vector<std::size_t> _upperBegin; // size() offsets
 };
 
 } // namespace jsim

@@ -14,9 +14,19 @@ namespace jsim {
 
 namespace {
 
-/** Build the (free-node) mass matrix from junction + parasitic caps. */
+/** Raised-cosine pulse value at offset t in [0, width). */
+double
+raisedCosine(double t, double width, double amplitude)
+{
+    if (t < 0.0 || t >= width)
+        return 0.0;
+    return 0.5 * amplitude * (1.0 - std::cos(2.0 * M_PI * t / width));
+}
+
+} // namespace
+
 DenseMatrix
-buildMassMatrix(const Circuit &circuit, double parasitic_cap)
+massMatrix(const Circuit &circuit, double parasitic_cap)
 {
     const std::size_t free_nodes = circuit.nodeCount() - 1;
     DenseMatrix mass(free_nodes, free_nodes);
@@ -43,17 +53,6 @@ buildMassMatrix(const Circuit &circuit, double parasitic_cap)
     return mass;
 }
 
-/** Raised-cosine pulse value at offset t in [0, width). */
-double
-raisedCosine(double t, double width, double amplitude)
-{
-    if (t < 0.0 || t >= width)
-        return 0.0;
-    return 0.5 * amplitude * (1.0 - std::cos(2.0 * M_PI * t / width));
-}
-
-} // namespace
-
 std::size_t
 TransientResult::switchCount(std::size_t junction_index) const
 {
@@ -78,7 +77,7 @@ TransientSimulator::TransientSimulator(const Circuit &circuit,
     : _circuit(circuit),
       _config(config),
       _freeNodes(circuit.nodeCount() - 1),
-      _massLu(buildMassMatrix(circuit, config.nodeParasiticCap))
+      _massLu(massMatrix(circuit, config.nodeParasiticCap))
 {
     SUPERNPU_ASSERT(_freeNodes > 0, "circuit has no nodes besides ground");
     SUPERNPU_ASSERT(config.timeStep > 0 && config.duration > 0,
@@ -107,7 +106,8 @@ void
 TransientSimulator::accelerations(const std::vector<double> &phi,
                                   const std::vector<double> &omega,
                                   double t,
-                                  std::vector<double> &accel_out) const
+                                  std::vector<double> &accel_out,
+                                  std::vector<double> &work) const
 {
     accel_out.assign(_freeNodes, 0.0);
     injectedCurrents(t, accel_out);
@@ -146,7 +146,7 @@ TransientSimulator::accelerations(const std::vector<double> &phi,
               phi0Over2Pi * domega / res.resistance);
     }
 
-    _massLu.solveInPlace(accel_out);
+    _massLu.solveInPlace(accel_out, work);
 }
 
 TransientResult
@@ -184,13 +184,14 @@ TransientSimulator::run() const
     std::vector<double> k1w(_freeNodes), k2w(_freeNodes), k3w(_freeNodes),
         k4w(_freeNodes); // d omega
     std::vector<double> tmp_phi(_freeNodes), tmp_omega(_freeNodes);
+    std::vector<double> solve_work(_freeNodes);
 
     for (std::size_t step = 0; step < steps; ++step) {
         const double t = (double)step * dt;
 
         // k1
         k1p = omega;
-        accelerations(phi, omega, t, k1w);
+        accelerations(phi, omega, t, k1w, solve_work);
 
         // k2
         for (std::size_t n = 0; n < _freeNodes; ++n) {
@@ -198,7 +199,7 @@ TransientSimulator::run() const
             tmp_omega[n] = omega[n] + 0.5 * dt * k1w[n];
         }
         k2p = tmp_omega;
-        accelerations(tmp_phi, tmp_omega, t + 0.5 * dt, k2w);
+        accelerations(tmp_phi, tmp_omega, t + 0.5 * dt, k2w, solve_work);
 
         // k3
         for (std::size_t n = 0; n < _freeNodes; ++n) {
@@ -206,7 +207,7 @@ TransientSimulator::run() const
             tmp_omega[n] = omega[n] + 0.5 * dt * k2w[n];
         }
         k3p = tmp_omega;
-        accelerations(tmp_phi, tmp_omega, t + 0.5 * dt, k3w);
+        accelerations(tmp_phi, tmp_omega, t + 0.5 * dt, k3w, solve_work);
 
         // k4
         for (std::size_t n = 0; n < _freeNodes; ++n) {
@@ -214,7 +215,7 @@ TransientSimulator::run() const
             tmp_omega[n] = omega[n] + dt * k3w[n];
         }
         k4p = tmp_omega;
-        accelerations(tmp_phi, tmp_omega, t + dt, k4w);
+        accelerations(tmp_phi, tmp_omega, t + dt, k4w, solve_work);
 
         for (std::size_t n = 0; n < _freeNodes; ++n) {
             phi[n] += dt / 6.0 *

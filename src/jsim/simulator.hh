@@ -60,6 +60,14 @@ struct TransientResult
 };
 
 /**
+ * The free-node mass matrix (ground excluded) of the nodal phase ODE:
+ * junction capacitances plus `parasitic_cap` on every node, scaled by
+ * Phi0/2pi. Only a junction between two free nodes puts an entry off
+ * the diagonal.
+ */
+DenseMatrix massMatrix(const Circuit &circuit, double parasitic_cap);
+
+/**
  * Integrates the circuit's nodal phase ODE with classical RK4 and
  * records every junction's 2-pi phase slips (SFQ switch events).
  *
@@ -82,10 +90,14 @@ class TransientSimulator
     double switchingEnergy(const TransientResult &result) const;
 
   private:
-    /** Evaluate node accelerations for state (phi, omega) at time t. */
+    /**
+     * Evaluate node accelerations for state (phi, omega) at time t.
+     * `work` is the mass-matrix solve's scratch, owned by run().
+     */
     void accelerations(const std::vector<double> &phi,
                        const std::vector<double> &omega, double t,
-                       std::vector<double> &accel_out) const;
+                       std::vector<double> &accel_out,
+                       std::vector<double> &work) const;
 
     /** Total source current injected into each free node at time t. */
     void injectedCurrents(double t, std::vector<double> &out) const;

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <utility>
 
 #include "check/runner.hh"
 #include "common/hash.hh"
@@ -17,6 +18,8 @@
 #include "common/parallel.hh"
 #include "dnn/networks.hh"
 #include "estimator/npu_estimator.hh"
+#include "jsim/cells.hh"
+#include "jsim/experiments.hh"
 #include "npusim/batch.hh"
 #include "npusim/explorer.hh"
 #include "npusim/sim.hh"
@@ -419,6 +422,67 @@ caseCheckFuzz(const CaseCtx &ctx)
     return run;
 }
 
+// --- case: jsim_transient -------------------------------------------
+// The jsim layer alone: Fig. 7's 10-stage JTL and DFF transients plus
+// one two-stage shift-register run per clock routing at 50 GHz. The
+// full suite repeats the set so it times well over 100 ms. Work is
+// RK4 steps; every junction's switch count is fingerprinted.
+CaseRun
+caseJsimTransient(const CaseCtx &ctx)
+{
+    const jsim::DeviceParams params;
+    std::vector<std::pair<jsim::Circuit, jsim::TransientConfig>> runs;
+
+    jsim::Circuit jtl;
+    const jsim::JtlChain chain = jsim::appendJtl(jtl, params, 10, "J");
+    jsim::attachPulseInput(jtl, params, chain.input, {50e-12});
+    jsim::TransientConfig jtl_cfg;
+    jtl_cfg.duration = 150e-12;
+    runs.emplace_back(jtl, jtl_cfg);
+
+    jsim::Circuit dff;
+    const jsim::JtlChain data = jsim::appendJtl(dff, params, 3, "D");
+    jsim::attachPulseInput(dff, params, data.input, {50e-12});
+    const jsim::JtlChain clock = jsim::appendJtl(dff, params, 3, "C");
+    jsim::attachPulseInput(dff, params, clock.input, {100e-12, 180e-12});
+    const jsim::Dff cell =
+        jsim::appendDff(dff, params, jsim::DffParams{}, "F");
+    dff.addInductor(data.output, cell.dataIn, params.jtlInductance);
+    dff.addInductor(clock.output, cell.clockIn, params.jtlInductance);
+    jsim::appendJtlFrom(dff, params, cell.output, 2, "O");
+    jsim::TransientConfig dff_cfg;
+    dff_cfg.duration = 250e-12;
+    runs.emplace_back(dff, dff_cfg);
+
+    for (jsim::ClockRouting routing : {jsim::ClockRouting::Concurrent,
+                                       jsim::ClockRouting::CounterFlow}) {
+        jsim::ShiftRegister sr =
+            jsim::buildShiftRegister(routing, 20e-12, 4);
+        runs.emplace_back(std::move(sr.circuit), sr.config);
+    }
+
+    CaseRun run;
+    std::uint64_t switches = 0;
+    Fingerprint print;
+    const int repeats = ctx.smoke ? 1 : 4;
+    for (int rep = 0; rep < repeats; ++rep) {
+        for (const auto &[circuit, config] : runs) {
+            const jsim::TransientSimulator sim(circuit, config);
+            const jsim::TransientResult result = sim.run();
+            run.work += result.steps;
+            for (const auto &times : result.switchTimes) {
+                const std::uint64_t count = times.size();
+                switches += count;
+                print.mix(&count, sizeof count);
+            }
+        }
+    }
+    addMetric(run, "rk4Steps", run.work);
+    addMetric(run, "switches", switches);
+    addMetric(run, "switchCountHash32", print.value32());
+    return run;
+}
+
 const std::vector<BenchCase> &
 allCases()
 {
@@ -432,6 +496,7 @@ allCases()
         {"shard_scaling", "plans/sec", caseShardScaling},
         {"planner_search", "plans/sec", casePlannerSearch},
         {"check_fuzz", "runs/sec", caseCheckFuzz},
+        {"jsim_transient", "steps/sec", caseJsimTransient},
     };
     return cases;
 }

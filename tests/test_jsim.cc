@@ -8,6 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <random>
+#include <string>
+#include <utility>
 
 #include "jsim/cells.hh"
 #include "jsim/circuit.hh"
@@ -28,7 +33,8 @@ TEST(Linalg, SolvesIdentity)
         eye.at(i, i) = 1.0;
     LuFactorization lu(eye);
     std::vector<double> b = {1.0, 2.0, 3.0};
-    lu.solveInPlace(b);
+    std::vector<double> work;
+    lu.solveInPlace(b, work);
     EXPECT_DOUBLE_EQ(b[0], 1.0);
     EXPECT_DOUBLE_EQ(b[1], 2.0);
     EXPECT_DOUBLE_EQ(b[2], 3.0);
@@ -44,7 +50,8 @@ TEST(Linalg, SolvesWithPivoting)
     m.at(1, 1) = 1.0;
     LuFactorization lu(m);
     std::vector<double> b = {3.0, 5.0};
-    lu.solveInPlace(b); // x = (1, 3)
+    std::vector<double> work;
+    lu.solveInPlace(b, work); // x = (1, 3)
     EXPECT_NEAR(b[0], 1.0, 1e-12);
     EXPECT_NEAR(b[1], 3.0, 1e-12);
 }
@@ -66,7 +73,8 @@ TEST(Linalg, ResidualOfRandomSystem)
             b[r] += m.at(r, c) * x_true[c];
     }
     LuFactorization lu(m);
-    lu.solveInPlace(b);
+    std::vector<double> work;
+    lu.solveInPlace(b, work);
     for (std::size_t i = 0; i < n; ++i)
         EXPECT_NEAR(b[i], x_true[i], 1e-9);
 }
@@ -561,6 +569,170 @@ INSTANTIATE_TEST_SUITE_P(TruthTable, ClockedOrTruthTable,
                                            OrCase{false, true, {}, 1},
                                            OrCase{true, false, {}, 1},
                                            OrCase{true, true, {}, 1}));
+
+// --- sparse mass-matrix solve against the dense reference -----------------
+
+/**
+ * Dense partial-pivot LU followed by a full dense forward and back
+ * substitution: the reference the sparse solve must match bit for
+ * bit.
+ */
+std::vector<double>
+denseReferenceSolve(const DenseMatrix &matrix, const std::vector<double> &b)
+{
+    const std::size_t n = matrix.rows();
+    std::vector<double> lu(n * n);
+    std::vector<std::size_t> perm(n);
+    for (std::size_t r = 0; r < n; ++r) {
+        perm[r] = r;
+        for (std::size_t c = 0; c < n; ++c)
+            lu[r * n + c] = matrix.at(r, c);
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+        std::size_t pivot = k;
+        double best = std::fabs(lu[k * n + k]);
+        for (std::size_t r = k + 1; r < n; ++r) {
+            if (std::fabs(lu[r * n + k]) > best) {
+                best = std::fabs(lu[r * n + k]);
+                pivot = r;
+            }
+        }
+        if (pivot != k) {
+            for (std::size_t c = 0; c < n; ++c)
+                std::swap(lu[k * n + c], lu[pivot * n + c]);
+            std::swap(perm[k], perm[pivot]);
+        }
+        for (std::size_t r = k + 1; r < n; ++r) {
+            const double factor = lu[r * n + k] / lu[k * n + k];
+            lu[r * n + k] = factor;
+            for (std::size_t c = k + 1; c < n; ++c)
+                lu[r * n + c] -= factor * lu[k * n + c];
+        }
+    }
+
+    std::vector<double> x(n);
+    for (std::size_t r = 0; r < n; ++r)
+        x[r] = b[perm[r]];
+    for (std::size_t r = 1; r < n; ++r) {
+        double acc = x[r];
+        for (std::size_t c = 0; c < r; ++c)
+            acc -= lu[r * n + c] * x[c];
+        x[r] = acc;
+    }
+    for (std::size_t ri = n; ri-- > 0;) {
+        double acc = x[ri];
+        for (std::size_t c = ri + 1; c < n; ++c)
+            acc -= lu[ri * n + c] * x[c];
+        x[ri] = acc / lu[ri * n + ri];
+    }
+    return x;
+}
+
+/** A value in [-1, 1) drawn from `rng`, identical on every platform. */
+double
+unitDraw(std::mt19937_64 &rng)
+{
+    return (double)(rng() >> 11) * 0x1p-52 - 1.0;
+}
+
+/**
+ * Solve `matrix` against a spread of right-hand sides, through the
+ * sparse factors and through the dense reference, and require
+ * byte-identical solutions. Current-like magnitudes (1e-4 A) and
+ * exact zeros are both covered; no entry is a negative zero, which
+ * the simulator's nodal currents never are either.
+ */
+void
+expectSparseSolveMatchesDense(const DenseMatrix &matrix,
+                              const std::string &what)
+{
+    const std::size_t n = matrix.rows();
+    const LuFactorization lu(matrix);
+    std::mt19937_64 rng(n);
+    std::vector<double> work;
+    for (int trial = 0; trial < 8; ++trial) {
+        std::vector<double> b(n, 0.0);
+        for (std::size_t i = 0; i < n; ++i) {
+            if (trial == 0 && i % 3 == 1)
+                continue; // leave some exact zeros
+            b[i] = unitDraw(rng) * (trial % 2 ? 1e-4 : 1.0);
+        }
+        const std::vector<double> dense = denseReferenceSolve(matrix, b);
+        lu.solveInPlace(b, work);
+        ASSERT_EQ(b.size(), n) << what;
+        EXPECT_EQ(std::memcmp(b.data(), dense.data(), n * sizeof(double)),
+                  0)
+            << what << ", right-hand side " << trial;
+    }
+}
+
+TEST(Linalg, SparseSolveMatchesDenseReferenceBitwise)
+{
+    const double parasitic = TransientConfig{}.nodeParasiticCap;
+    std::vector<std::pair<std::string, Circuit>> circuits;
+
+    circuits.emplace_back("10-stage JTL",
+                          JtlFixture(10, {50e-12}).circuit);
+    {
+        DeviceParams params;
+        Circuit circuit;
+        const JtlChain feed = appendJtl(circuit, params, 3, "F");
+        const Splitter splitter =
+            appendSplitter(circuit, params, feed.output, "S");
+        appendJtlFrom(circuit, params, splitter.outputA, 2, "A");
+        appendJtlFrom(circuit, params, splitter.outputB, 2, "B");
+        circuits.emplace_back("splitter", circuit);
+    }
+    circuits.emplace_back("DFF", DffFixture({50e-12}, {120e-12}).circuit);
+    circuits.emplace_back(
+        "concurrent shift register",
+        buildShiftRegister(ClockRouting::Concurrent, 20e-12, 4).circuit);
+    circuits.emplace_back(
+        "counter-flow shift register",
+        buildShiftRegister(ClockRouting::CounterFlow, 20e-12, 4).circuit);
+    circuits.emplace_back(
+        "clocked AND", AndFixture({50e-12}, {50e-12}, {120e-12}).circuit);
+    {
+        DeviceParams params;
+        Circuit circuit;
+        const JtlChain a = appendJtl(circuit, params, 3, "A");
+        const JtlChain b = appendJtl(circuit, params, 3, "B");
+        const JtlChain clk = appendJtl(circuit, params, 3, "C");
+        const ClockedOr gate = appendClockedOr(circuit, params, "G");
+        circuit.addInductor(a.output, gate.inputA, params.jtlInductance);
+        circuit.addInductor(b.output, gate.inputB, params.jtlInductance);
+        circuit.addInductor(clk.output, gate.clockIn,
+                            params.jtlInductance);
+        circuits.emplace_back("clocked OR", circuit);
+    }
+    for (const auto &[name, circuit] : circuits)
+        expectSparseSolveMatchesDense(massMatrix(circuit, parasitic), name);
+
+    // Random dense matrices whose largest first-column entry sits in
+    // the last row, so the factorization must swap rows.
+    std::mt19937_64 rng(2026);
+    for (std::size_t n : {2u, 5u, 12u, 24u}) {
+        DenseMatrix m(n, n);
+        for (std::size_t r = 0; r < n; ++r) {
+            for (std::size_t c = 0; c < n; ++c)
+                m.at(r, c) = unitDraw(rng);
+        }
+        m.at(n - 1, 0) = 4.0;
+        expectSparseSolveMatchesDense(m, "random " + std::to_string(n));
+    }
+}
+
+TEST(Linalg, ShiftRegisterFactorsKeepOnlyFloatingJunctionEntries)
+{
+    // Only the two DFF escape junctions float between free nodes, so
+    // the factors hold one L and one U entry for each of them.
+    const ShiftRegister sr =
+        buildShiftRegister(ClockRouting::Concurrent, 20e-12, 4);
+    const LuFactorization lu(
+        massMatrix(sr.circuit, sr.config.nodeParasiticCap));
+    EXPECT_EQ(lu.size(), sr.circuit.nodeCount() - 1);
+    EXPECT_EQ(lu.offDiagonalNonzeros(), 4u);
+}
 
 // --- analog clocking experiment (Fig. 7 at the device level) -------------
 

@@ -282,7 +282,7 @@ TEST(BenchHarness, RepetitionsKeepMetricsIdentical)
     options.repetitions = 2;
     options.warmups = 0;
     const bench::BenchReport report = bench::runSuite(options);
-    EXPECT_EQ(report.cases.size(), 8u);
+    EXPECT_EQ(report.cases.size(), 9u);
     for (const auto &c : report.cases) {
         EXPECT_GT(c.work, 0u) << c.name;
         EXPECT_GT(c.throughput, 0.0) << c.name;
@@ -293,12 +293,13 @@ TEST(BenchHarness, RepetitionsKeepMetricsIdentical)
 TEST(BenchHarness, SuiteCaseNamesMatchRegistry)
 {
     const auto names = bench::suiteCaseNames("smoke");
-    ASSERT_EQ(names.size(), 8u);
+    ASSERT_EQ(names.size(), 9u);
     EXPECT_EQ(names[0], "micro_kernels");
     EXPECT_EQ(names[4], "pipeline_scaling");
     EXPECT_EQ(names[5], "shard_scaling");
     EXPECT_EQ(names[6], "planner_search");
     EXPECT_EQ(names[7], "check_fuzz");
+    EXPECT_EQ(names[8], "jsim_transient");
 }
 
 TEST(BenchHarness, TimedBaselineGateFailsOnSlowdown)
