@@ -18,6 +18,8 @@
  *  - DegradedDispatch: detection additionally quarantines
  *    permanently-faulted chips; the dispatcher (JSQ or RR) skips
  *    them and in-queue work is re-dispatched to healthy chips.
+ *    Once every chip is quarantined, each request that would need a
+ *    dispatch target completes as failed instead.
  *
  * All policies share the detection model; they differ in what they
  * do after detection. With no fault schedule attached, resilience is

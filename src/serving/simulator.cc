@@ -366,22 +366,6 @@ ServingSimulator::run()
         }
     };
 
-    // Dispatch target for a new or re-enqueued request. With no
-    // healthy target left the run would have to "serve" from
-    // known-bad hardware, so it stops instead.
-    const auto pick_target = [&]() {
-        if (quarantined_count >= n_targets) {
-            fatal("all ", n_targets,
-                  pipelined     ? " pipeline group(s)"
-                  : replicated  ? " replica group(s)"
-                                : " chip(s)",
-                  " quarantined: no "
-                  "healthy dispatch target remains (permanent "
-                  "faults exceeded the cluster's redundancy)");
-        }
-        return dispatcher.pick();
-    };
-
     // Put a batch in service. Fault-free, the service-time guards
     // never fire and this is the original launch path bit for bit.
     const auto launch_batch = [&](int index,
@@ -491,6 +475,22 @@ ServingSimulator::run()
         launch_batch(index, std::move(batch));
     };
 
+    // Queue a new, retried or re-dispatched request on a healthy
+    // target. Once every target is quarantined none is left, and
+    // serving from known-bad hardware would count garbage as goodput:
+    // the request completes as failed on the spot instead.
+    const auto enqueue = [&](const Request &request) {
+        if (quarantined_count >= n_targets) {
+            complete_request(request, true);
+            return false;
+        }
+        const int target = dispatcher.pick();
+        chips[target].queue.push(request);
+        ++queued_depth;
+        try_launch(target);
+        return true;
+    };
+
     // A single-chip batch leaves flight (completed or killed): free
     // the chip and try the next launch on it.
     const auto release_chip = [&](int index) {
@@ -556,10 +556,7 @@ ServingSimulator::run()
 
         switch (event.kind) {
           case EventKind::Arrival: {
-            const int target = pick_target();
-            chips[target].queue.push(Request{arrived++, clock, clock});
-            ++queued_depth;
-            try_launch(target);
+            enqueue(Request{arrived++, clock, clock});
             if (arrivals.openLoop() && injected < _cfg.requests) {
                 schedule(clock + arrivals.nextGapSec(),
                          EventKind::Arrival, -1);
@@ -867,7 +864,17 @@ ServingSimulator::run()
                  ++c) {
                 metrics.setPermanentLoss(c, clock, 1.0);
             }
-            // Its queued work moves to healthy chips.
+            if (quarantined_count == n_targets) {
+                warn("all ", n_targets,
+                     pipelined    ? " pipeline group(s)"
+                     : replicated ? " replica group(s)"
+                                  : " chip(s)",
+                     " quarantined at t = ", clock,
+                     " s: no healthy dispatch target remains (permanent "
+                     "faults exceeded the cluster's redundancy); every "
+                     "request still queued or yet to arrive fails");
+            }
+            // Its queued work moves to healthy chips, if any remain.
             std::vector<Request> moved;
             while (!chip.queue.empty()) {
                 std::vector<Request> chunk = chip.queue.flush();
@@ -876,21 +883,15 @@ ServingSimulator::run()
             }
             for (Request request : moved) {
                 request.enqueueSec = clock;
-                const int target = pick_target();
-                chips[target].queue.push(request);
-                ++queued_depth;
-                ++redispatches;
-                try_launch(target);
+                if (enqueue(request))
+                    ++redispatches;
             }
             break;
           }
           case EventKind::Retry: {
             Request request = event.retryRequest;
             request.enqueueSec = clock;
-            const int target = pick_target();
-            chips[target].queue.push(request);
-            ++queued_depth;
-            try_launch(target);
+            enqueue(request);
             break;
           }
           case EventKind::StageFree: {

@@ -328,8 +328,11 @@ TEST(BenchHarness, TimedBaselineGateFailsOnSlowdown)
 
 TEST(BenchHarness, InjectSlowdownTripsTheGate)
 {
+    // Five timed repetitions on each side: the gate compares medians,
+    // so one preempted ~0.2 ms repetition cannot hide the slowdown.
     bench::BenchOptions honest_options = fastOptions();
     honest_options.warmups = 1;
+    honest_options.repetitions = 5;
     const bench::BenchReport honest = bench::runSuite(honest_options);
     const std::string baseline = bench::benchJson(honest, true);
 

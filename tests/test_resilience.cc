@@ -2,18 +2,21 @@
  * @file
  * Serving-resilience tests: the zero-cost guarantee (an empty fault
  * schedule leaves serving byte-identical), deterministic retry
- * sequencing, degraded dispatch never routing to quarantined chips,
+ * sequencing, degraded dispatch never routing to quarantined chips
+ * (and failing what it cannot place once every chip is quarantined),
  * checkpoint/restart conservation, retry give-up, and the
  * availability/goodput accounting.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "dnn/parser.hh"
 #include "estimator/npu_estimator.hh"
 #include "npusim/batch.hh"
+#include "obs/audit.hh"
 #include "reliability/fault_model.hh"
 #include "serving/simulator.hh"
 
@@ -282,11 +285,13 @@ TEST_F(ResilienceFixture, GlitchAfterCorruptionStillCounts)
     EXPECT_NEAR(report.latencyMax, 1.05 * s, 1e-9 * s);
 }
 
-TEST_F(ResilienceFixture, AllChipsQuarantinedIsFatal)
+TEST_F(ResilienceFixture, AllChipsQuarantinedFailsRemainingRequests)
 {
     // A 1-chip fleet under DegradedDispatch loses its only chip to a
-    // flux trap: dispatch has nowhere healthy to go and must say so
-    // loudly instead of silently serving from known-bad hardware.
+    // flux trap: dispatch has nowhere healthy to go. The run must not
+    // serve from known-bad hardware, and must not stop either: it
+    // warns once, and every request it can no longer place completes
+    // as failed, so the conservation audit still holds.
     ServingConfig serving = baseConfig();
     serving.chips = 1;
     serving.faults = [&] {
@@ -299,8 +304,22 @@ TEST_F(ResilienceFixture, AllChipsQuarantinedIsFatal)
     }();
     serving.resilience.recovery = RecoveryPolicy::DegradedDispatch;
     serving.resilience.detectLatencySec = 1e-12;
-    EXPECT_EXIT((void)ServingSimulator(service, serving).run(),
-                ::testing::ExitedWithCode(1), "quarantined");
+
+    ::testing::internal::CaptureStderr();
+    const ServingReport report = ServingSimulator(service, serving).run();
+    const std::string stderr_text =
+        ::testing::internal::GetCapturedStderr();
+
+    EXPECT_NE(stderr_text.find("quarantined"), std::string::npos)
+        << stderr_text;
+    EXPECT_EQ(report.completed, serving.requests);
+    EXPECT_GT(report.failedRequests, 0u);
+    // The trap lands at t = 0, before any request: nothing succeeds.
+    EXPECT_EQ(report.failedRequests, serving.requests);
+    EXPECT_EQ(report.goodputRps, 0.0);
+    EXPECT_LT(report.availability, 1.0);
+    EXPECT_TRUE(obs::auditServing(report).ok())
+        << obs::auditServing(report).summary();
 }
 
 TEST_F(ResilienceFixture, PermanentTrapDegradesAvailability)

@@ -12,11 +12,13 @@
  *       The Table II maximum on-chip batch.
  *   supernpu serve <workload> <config> [options]
  *       Discrete-event serving simulation: request load, dynamic
- *       batching, multi-chip dispatch, tail latency.
+ *       batching, multi-chip dispatch, tail latency; --sweep adds a
+ *       tail-latency vs offered-load table.
  *   supernpu faults <workload> <config> [options]
  *       Fault-injection study: degraded-geometry cycle costs,
  *       functional error propagation, and a serving run under a
- *       seeded SFQ fault schedule with a recovery policy.
+ *       seeded SFQ fault schedule with a recovery policy; --sweep
+ *       adds a fault-rate x recovery-policy grid.
  *   supernpu report <workload> <config> [options]
  *       Audited run ledger as JSON on stdout: the cycle-level run's
  *       counters with conservation invariants enforced (exit 1 on
@@ -62,7 +64,8 @@
  *   --bandwidth-gbps <n>    DRAM bandwidth
  *   --batch <n>             force a batch size (simulate, serve)
  *   --jobs <n>              worker threads (explore, shard, check,
- *                           bench); results are identical at any N
+ *                           bench, serve/faults --sweep), at most
+ *                           1024; results are identical at any N
  *
  * Serving options (serve):
  *   --rps <n>               offered load, requests/s (default 1000)
@@ -74,6 +77,10 @@
  *   --requests <n>          requests to simulate
  *   --clients <n>           closed-loop client population
  *   --seed <n>              RNG seed
+ *   --sweep                 also run the load sweep: offered load at
+ *                           0.1-0.95 of the fleet's full-batch
+ *                           capacity, every other setting from the
+ *                           flags; --ledger gains it as table "sweep"
  *
  * Fault options (faults):
  *   --drop-rate <n>         pulse drops per chip-second
@@ -88,6 +95,11 @@
  *   --backoff-us <n>        first retry backoff
  *   --checkpoint            checkpoint/restart killed batches
  *   --ber <n>               bit flips per million MACs (error study)
+ *   --sweep                 also run the fault grid: the run's rates
+ *                           scaled by 0, 1, 4 and 16 against the
+ *                           none, retry, retry+ckpt and degraded
+ *                           policies, one shared schedule per rate
+ *                           row; --ledger gains it as table "sweep"
  *
  * Partition options (partition; --stages also pipelines serve):
  *   --stages <k>            chips in the pipeline group
@@ -177,7 +189,7 @@ struct Options
     sfq::Technology technology = sfq::Technology::RSFQ;
     double featureUm = 1.0;
     int forcedBatch = 0;
-    int jobs = 0; ///< explore parallelism; 0 = hardware concurrency
+    int jobs = 0; ///< --jobs; 0 = unset (see serialJobs, cmdExplore)
     estimator::NpuConfig config = estimator::NpuConfig::superNpu();
     bool configChosen = false;
     std::string netFile;   ///< --netfile path, when given
@@ -189,7 +201,7 @@ struct Options
     bool faultRateGiven = false; ///< any --*-rate flag seen
     double berFlipsPerMillion = 25.0; ///< --ber error-study rate
     int stages = 0;        ///< --stages pipeline chips; 0 = unset
-    bool sweep = false;    ///< --sweep: partition K-sweep table
+    bool sweep = false;    ///< --sweep: the command's sweep table
     int streamBatches = 0; ///< --stream batches; 0 = default
     partition::LinkConfig link; ///< --link-gbps / --link-latency
     int dataParallel = 0;  ///< --dp replica count; 0 = unset
@@ -262,6 +274,13 @@ tryConfig(const std::string &name, estimator::NpuConfig &out)
 }
 
 /**
+ * Largest --jobs accepted. A pool spawns jobs - 1 threads up front,
+ * and a failed std::thread constructor is an uncaught exception, so
+ * the bound is enforced where the flag is parsed.
+ */
+constexpr int kMaxJobs = 1024;
+
+/**
  * The one checked parser for numeric option values: the whole of
  * `text` must be a finite T in [min, max]. Non-numeric text, trailing
  * junk, overflow and out-of-range values are a fatal naming `flag`,
@@ -281,12 +300,16 @@ numberOption(const std::string &flag, const std::string &text,
     const auto [stop, error] = std::from_chars(text.data(), end, value);
     const bool parsed = error == std::errc() && stop == end &&
                         std::isfinite((double)value);
-    if (error == std::errc::result_out_of_range || (parsed && value > max))
+    if (error == std::errc::result_out_of_range)
         fatal("option '", flag, "' is out of range, got '", text, "'");
     if (!parsed)
         fatal("option '", flag, "' needs ", what, ", got '", text, "'");
     if (value < min) {
         fatal("option '", flag, "' must be at least ", min, ", got '",
+              text, "'");
+    }
+    if (value > max) {
+        fatal("option '", flag, "' must be at most ", max, ", got '",
               text, "'");
     }
     return value;
@@ -356,7 +379,7 @@ parseOptions(int argc, char **argv, int first, Options &options)
         } else if (arg == "--batch") {
             options.forcedBatch = next_int(1);
         } else if (arg == "--jobs") {
-            options.jobs = next_int();
+            options.jobs = numberOption<int>(arg, next(), 0, kMaxJobs);
         } else if (arg == "--netfile") {
             options.netFile = next();
         } else if (arg == "--trace") {
@@ -593,6 +616,18 @@ maybeAudit(const obs::AuditReport &audit, const std::string &context)
         obs::enforce(audit, context);
 }
 
+/**
+ * --jobs for the commands whose reference point is the serial run
+ * (shard, check, bench and the serve/faults sweeps): unset means 1.
+ * Their output is identical at any value, so the flag only buys
+ * wall clock.
+ */
+int
+serialJobs(const Options &options)
+{
+    return options.jobs > 0 ? options.jobs : 1;
+}
+
 int
 cmdWorkloads()
 {
@@ -778,6 +813,13 @@ cmdServe(const Options &options, const dnn::Network &net)
                      " checkpoint model)\n");
         return 2;
     }
+    // The sweep varies the offered rate; a closed loop has none, so
+    // every row would repeat the same run under a different label.
+    if (options.sweep &&
+        options.serve.arrival.kind == serving::ArrivalKind::ClosedLoop) {
+        fatal("option '--sweep' varies the offered rate, which"
+              " '--arrival closed' does not have");
+    }
     const sfq::DeviceConfig device = deviceFor(options);
     sfq::CellLibrary library(device);
     estimator::NpuEstimator est(library);
@@ -798,17 +840,71 @@ cmdServe(const Options &options, const dnn::Network &net)
     serving::ServingSimulator sim(service, serve);
     const auto report = sim.run();
     report.print();
+    const double chip_capacity = service.peakRps(serve.batching.maxBatch);
     std::printf("\nchip capacity at full batch: %.0f req/s x %d chips"
                 " = %.0f req/s; served %.0f req/s at p99 %.4f ms\n",
-                service.peakRps(serve.batching.maxBatch), serve.chips,
-                service.peakRps(serve.batching.maxBatch) *
-                    (double)serve.chips,
+                chip_capacity, serve.chips,
+                chip_capacity * (double)serve.chips,
                 report.throughputRps, report.latencyP99 * 1e3);
 
-    maybeAudit(obs::auditServing(report), "serve " + net.name);
+    obs::AuditReport audit = obs::auditServing(report);
+
+    SweepRows sweep_rows;
+    if (options.sweep) {
+        // Offered load as a fraction of the fleet's full-batch
+        // capacity, up to where the queue grows without bound and the
+        // tail explodes; every other setting is the run's own.
+        const std::vector<double> loads = {0.1, 0.3, 0.5, 0.7, 0.85, 0.95};
+        ThreadPool pool(serialJobs(options));
+        const auto points =
+            pool.parallelMap(loads.size(), [&](std::size_t i) {
+                serving::ServingConfig point = serve;
+                point.arrival.ratePerSec =
+                    loads[i] * chip_capacity * (double)serve.chips;
+                return serving::ServingSimulator(service, point).run();
+            });
+        std::printf("\n");
+        TextTable sweep("serving load sweep");
+        sweep.row()
+            .cell("load")
+            .cell("offered req/s")
+            .cell("mean batch")
+            .cell("util %")
+            .cell("p50 ms")
+            .cell("p99 ms")
+            .cell("p99.9 ms");
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            const serving::ServingReport &point = points[i];
+            audit.merge(obs::auditServing(point));
+            sweep.row()
+                .cell(loads[i], 2)
+                .cell(point.offeredRps, 0)
+                .cell(point.meanBatch, 1)
+                .cell(point.utilization * 100.0, 1)
+                .cell(point.latencyP50 * 1e3, 3)
+                .cell(point.latencyP99 * 1e3, 3)
+                .cell(point.latencyP999 * 1e3, 3);
+            sweep_rows.push_back({obs::Value::real(loads[i]),
+                                  obs::Value::real(point.offeredRps),
+                                  obs::Value::real(point.throughputRps),
+                                  obs::Value::real(point.utilization),
+                                  obs::Value::real(point.meanBatch),
+                                  obs::Value::real(point.latencyP50),
+                                  obs::Value::real(point.latencyP99),
+                                  obs::Value::real(point.latencyP999)});
+        }
+        sweep.print();
+    }
+
+    maybeAudit(audit, "serve " + net.name);
     if (!options.ledgerFile.empty()) {
         obs::RunLedger ledger;
         obs::addServingReport(ledger, report);
+        addSweepTable(ledger,
+                      {"loadFrac", "offeredRps", "throughputRps",
+                       "utilization", "meanBatch", "p50Sec", "p99Sec",
+                       "p999Sec"},
+                      sweep_rows);
         emitLedger(options, ledger);
     }
     return 0;
@@ -935,6 +1031,93 @@ cmdFaults(const Options &options, const dnn::Network &net)
 
     obs::AuditReport audit = obs::auditSim(*clean);
     audit.merge(obs::auditServing(report));
+
+    SweepRows sweep_rows;
+    if (options.sweep) {
+        // Each row scales the run's fault rates and draws one schedule
+        // that every policy column then faces, so a row compares the
+        // policies on the exact same fault sequence. Its seed depends
+        // only on the row, never on the policy or the job count.
+        const std::vector<double> scales = {0.0, 1.0, 4.0, 16.0};
+        struct PolicyColumn
+        {
+            const char *label;
+            serving::RecoveryPolicy recovery;
+            bool checkpoint;
+        };
+        const std::vector<PolicyColumn> policies = {
+            {"none", serving::RecoveryPolicy::None, false},
+            {"retry", serving::RecoveryPolicy::RetryBackoff, false},
+            {"retry+ckpt", serving::RecoveryPolicy::RetryBackoff, true},
+            {"degraded", serving::RecoveryPolicy::DegradedDispatch,
+             false},
+        };
+        std::vector<reliability::FaultSchedule> schedules;
+        for (std::size_t row = 0; row < scales.size(); ++row) {
+            reliability::FaultScheduleConfig row_cfg = fault_cfg;
+            row_cfg.seed = streamSeed(fault_cfg.seed, row);
+            row_cfg.pulseDropRatePerSec *= scales[row];
+            row_cfg.fluxTrapRatePerSec *= scales[row];
+            row_cfg.clockSkewRatePerSec *= scales[row];
+            row_cfg.linkGlitchRatePerSec *= scales[row];
+            schedules.push_back(
+                reliability::FaultSchedule::generate(row_cfg));
+        }
+        ThreadPool pool(serialJobs(options));
+        const auto grid = pool.parallelMap(
+            scales.size() * policies.size(), [&](std::size_t i) {
+                const PolicyColumn &policy = policies[i % policies.size()];
+                serving::ServingConfig cell = serve;
+                cell.faults = schedules[i / policies.size()];
+                cell.resilience.recovery = policy.recovery;
+                cell.resilience.checkpointRestart = policy.checkpoint;
+                return serving::ServingSimulator(service, cell).run();
+            });
+        std::printf("\n");
+        TextTable sweep("fault-rate sweep");
+        sweep.row()
+            .cell("rate x")
+            .cell("policy")
+            .cell("faults")
+            .cell("killed")
+            .cell("retries")
+            .cell("failed")
+            .cell("avail %")
+            .cell("goodput r/s")
+            .cell("p99 ms");
+        for (std::size_t i = 0; i < grid.size(); ++i) {
+            const serving::ServingReport &cell = grid[i];
+            const double scale = scales[i / policies.size()];
+            const char *policy = policies[i % policies.size()].label;
+            audit.merge(obs::auditServing(cell));
+            sweep.row()
+                .cell(scale, 0)
+                .cell(policy)
+                .cell(cell.faultsInjected)
+                .cell(cell.batchesKilled)
+                .cell(cell.retriesTotal)
+                .cell(cell.failedRequests)
+                .cell(cell.availability * 100.0, 2)
+                .cell(cell.goodputRps, 0)
+                .cell(cell.latencyP99 * 1e3, 4);
+            sweep_rows.push_back(
+                {obs::Value::real(scale), obs::Value::text(policy),
+                 obs::Value::integer(cell.faultsScheduled),
+                 obs::Value::integer(cell.faultsInjected),
+                 obs::Value::integer(cell.batchesKilled),
+                 obs::Value::integer(cell.requestsKilled),
+                 obs::Value::integer(cell.retriesTotal),
+                 obs::Value::integer(cell.retryGiveUps),
+                 obs::Value::integer(cell.restarts),
+                 obs::Value::integer(cell.redispatches),
+                 obs::Value::integer(cell.failedRequests),
+                 obs::Value::real(cell.availability),
+                 obs::Value::real(cell.goodputRps),
+                 obs::Value::real(cell.latencyP99)});
+        }
+        sweep.print();
+    }
+
     maybeAudit(audit, "faults " + net.name);
     if (!options.ledgerFile.empty()) {
         obs::RunLedger ledger;
@@ -942,6 +1125,13 @@ cmdFaults(const Options &options, const dnn::Network &net)
         obs::addFaultSchedule(ledger, serve.faults);
         obs::addSimCacheStats(ledger,
                               npusim::SimCache::global().stats());
+        addSweepTable(ledger,
+                      {"rateScale", "policy", "faultsScheduled",
+                       "faultsInjected", "batchesKilled",
+                       "requestsKilled", "retries", "retryGiveUps",
+                       "restarts", "redispatches", "failedRequests",
+                       "availability", "goodputRps", "p99Sec"},
+                      sweep_rows);
         emitLedger(options, ledger);
     }
     return 0;
@@ -1095,7 +1285,7 @@ cmdShard(const Options &options, const dnn::Network &net)
     // Like bench, the search defaults to the byte-stable serial walk;
     // any --jobs value produces identical output (and ledgers), so
     // the flag is purely a wall-clock knob here.
-    const int jobs = options.jobs > 0 ? options.jobs : 1;
+    const int jobs = serialJobs(options);
 
     // Any explicit degree flag pins that factorization; otherwise
     // the planner searches the --chips budget. The budget also sets
@@ -1327,7 +1517,7 @@ cmdBench(const Options &options, const std::string &suite)
     opts.warmups = options.benchWarmups;
     // Unlike explore, the reference point is serial: the committed
     // baseline and the CI determinism check both run at --jobs 1.
-    opts.jobs = options.jobs > 0 ? options.jobs : 1;
+    opts.jobs = serialJobs(options);
     opts.includeTiming = !options.benchNoTiming;
     opts.profile = options.profile;
     opts.injectSlowdownPct = options.benchInjectSlowdown;
@@ -1411,7 +1601,7 @@ cmdCheck(const Options &options)
     // Serial by default like bench; any --jobs value produces the
     // same tallies, warns, and repro bytes, so the flag only buys
     // wall clock (the CI check job runs with --jobs).
-    runner.jobs = options.jobs > 0 ? options.jobs : 1;
+    runner.jobs = serialJobs(options);
     return check::runCheck(runner, library);
 }
 
@@ -1437,18 +1627,21 @@ usage(std::FILE *to = stderr)
                  "options: --tech --feature --width --height --regs\n"
                  "         --division --ifmap-mb --output-mb\n"
                  "         --bandwidth-gbps --batch --netfile <path>\n"
-                 "         --trace <csv path> --jobs <n>\n"
+                 "         --trace <csv path> --jobs <n> (0-1024)\n"
                  "         --ledger <json|csv path> --json --help\n"
                  "serve:   --rps --chips --policy dynamic|fixed\n"
                  "         --dispatch rr|jsq\n"
                  "         --arrival poisson|bursty|closed\n"
                  "         --timeout-us --requests --clients --seed\n"
                  "         --stages <k> (pipeline groups of k chips)\n"
+                 "         --sweep (p99 vs offered load table)\n"
                  "faults:  --drop-rate --trap-rate --skew-rate\n"
                  "         --glitch-rate --fault-burst --fault-seed\n"
                  "         --recovery none|retry|degraded --detect-us\n"
                  "         --max-retries --backoff-us --checkpoint\n"
-                 "         --ber\n"
+                 "         --ber --sweep (fault rate x policy grid)\n"
+                 "serve/faults --sweep: --ledger gains table \"sweep\";\n"
+                 "         --jobs <n> (default 1; identical output)\n"
                  "partition: --stages <k> --sweep --stream <batches>\n"
                  "         --link-gbps <n> --link-latency <cycles>\n"
                  "shard:   --dp <r> --tp <t> --stages <k> --chips <n>\n"
