@@ -246,6 +246,90 @@ oracleShardSolo(const CheckCase &c, const sfq::CellLibrary &lib,
 }
 
 /**
+ * The planner's class-shared search must rank exactly what a
+ * standalone evaluate() of each triple builds: every row of plan()
+ * equals that evaluate()'s row field by field, bestIndex is the
+ * first strictly best row under each objective, and best() is the
+ * winner's evaluate(). The budget is the case's own R·T·K. The cook
+ * shifts the last row's interval by one cycle.
+ */
+OracleOutcome
+oraclePlanSearch(const CheckCase &c, const sfq::CellLibrary &lib,
+                 Cook cook)
+{
+    const estimator::NpuEstimate est = makeEstimate(c, lib);
+    npusim::SimCache cache;
+    const dnn::Network net = c.network();
+    const sharding::HybridPlanner planner(est, c.link, &cache);
+    const int budget =
+        c.dataParallel * c.tensorShards * c.pipelineStages;
+    Checker checker;
+    for (const sharding::PlanObjective objective :
+         {sharding::PlanObjective::Throughput,
+          sharding::PlanObjective::Latency}) {
+        sharding::PlanSearch search =
+            planner.plan(net, budget, c.batch, objective);
+        if (cook == Cook::Tamper)
+            search.evaluated.back().intervalCycles += 1;
+        const std::string name =
+            sharding::planObjectiveName(objective);
+        // Smaller is better: the objective's ranking key of a row.
+        const auto rank = [&](const sharding::PlanRow &row) {
+            return objective == sharding::PlanObjective::Throughput
+                       ? -row.throughput()
+                       : row.latencySec();
+        };
+        const sharding::PlanRow &best =
+            search.evaluated[search.bestIndex];
+        for (std::size_t i = 0; i < search.evaluated.size(); ++i) {
+            const sharding::PlanRow &row = search.evaluated[i];
+            const sharding::PlanRow ref =
+                planner
+                    .evaluate(net, row.dataParallel, row.tensorShards,
+                              row.pipelineStages, c.batch)
+                    .row();
+            std::ostringstream at;
+            at << name << " row " << i << " (" << row.dataParallel
+               << "x" << row.tensorShards << "x" << row.pipelineStages
+               << ") ";
+            const std::string where = at.str();
+            checker.expectEq(row.dataParallel, ref.dataParallel,
+                             where + "dataParallel");
+            checker.expectEq(row.tensorShards, ref.tensorShards,
+                             where + "tensorShards");
+            checker.expectEq(row.pipelineStages, ref.pipelineStages,
+                             where + "pipelineStages");
+            checker.expectEq(row.batch, ref.batch, where + "batch");
+            checker.expectEq(row.frequencyGhz, ref.frequencyGhz,
+                             where + "frequencyGhz");
+            checker.expectEq(row.intervalCycles, ref.intervalCycles,
+                             where + "intervalCycles");
+            checker.expectEq(row.latencyCycles, ref.latencyCycles,
+                             where + "latencyCycles");
+            checker.expectEq(row.tensorCollectiveCycles,
+                             ref.tensorCollectiveCycles,
+                             where + "tensorCollectiveCycles");
+            checker.expectEq(row.gatherCycles, ref.gatherCycles,
+                             where + "gatherCycles");
+            if ((int)i < search.bestIndex)
+                checker.expectTrue(rank(row) > rank(best),
+                                   where + "ranks at least as well "
+                                           "as the later winner");
+            else
+                checker.expectTrue(rank(row) >= rank(best),
+                                   where + "beats the winner");
+        }
+        checker.expectEq(search.best().intervalCycles,
+                         best.intervalCycles,
+                         name + " best() intervalCycles");
+        checker.expectEq(search.best().latencyCycles,
+                         best.latencyCycles,
+                         name + " best() latencyCycles");
+    }
+    return checker.outcome();
+}
+
+/**
  * Within the all-fit regime (batch <= the Table II solve, where the
  * fit thresholds are monotone), splitting a batch and running the
  * halves can never beat running it whole, and cycles are monotone
@@ -605,6 +689,7 @@ const OracleEntry kOracles[] = {
     {"cross-path-identity", oracleCrossPath},
     {"pipeline-identities", oraclePipeline},
     {"shard-solo-baseline", oracleShardSolo},
+    {"plan-search-exhaustive", oraclePlanSearch},
     {"batch-subadditivity", oracleBatchSplit},
     {"double-buffering", oracleDoubleBuffering},
     {"regs-monotonicity", oracleRegsMonotone},

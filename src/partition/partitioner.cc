@@ -63,18 +63,20 @@ Partitioner::Partitioner(const estimator::NpuEstimate &estimate,
 }
 
 std::shared_ptr<const npusim::SimResult>
-Partitioner::simulate(std::uint64_t network_hash,
+Partitioner::simulate(npusim::SimCache &cache,
+                      std::uint64_t network_hash,
                       const dnn::Network &network, int batch) const
 {
     npusim::SimKey key;
     key.networkHash = network_hash;
     key.configHash = _configHash;
     key.batch = batch;
-    return _cache->getOrRun(key, _sim, network);
+    return cache.getOrRun(key, _sim, network);
 }
 
 LayerTimings
-Partitioner::buildTimings(const dnn::Network &network,
+Partitioner::buildTimings(npusim::SimCache &cache,
+                          const dnn::Network &network,
                           std::uint64_t network_hash, int batch) const
 {
     // One whole-network simulation (memoized) supplies the per-layer
@@ -82,7 +84,7 @@ Partitioner::buildTimings(const dnn::Network &network,
     // overlap effects of the unsplit schedule, so they are an
     // estimate for *cut selection*; the chosen stages are
     // re-simulated exactly by partition().
-    auto full = simulate(network_hash, network, batch);
+    auto full = simulate(cache, network_hash, network, batch);
     const int n = (int)network.layers.size();
 
     LayerTimings t;
@@ -119,7 +121,8 @@ Partitioner::simulateStage(CutTable &table, int first, int last) const
         // layers, so it hits (or seeds) the exact cache entry the
         // single-chip path uses. This is the byte-identity guarantee
         // docs/partitioning.md pins.
-        sim = simulate(table.networkHash, network, table.batch);
+        sim = simulate(*table.cache, table.networkHash, network,
+                       table.batch);
         return sim;
     }
     const std::string name = network.name + "[" +
@@ -130,7 +133,7 @@ Partitioner::simulateStage(CutTable &table, int first, int last) const
         npusim::hashLayerRange(name, table.layerHashes, first, last);
     key.configHash = _configHash;
     key.batch = table.batch;
-    sim = _cache->getOrCompute(key, [&] {
+    sim = table.cache->getOrCompute(key, [&] {
         // Only a miss copies the stage's layers into a sub-network.
         dnn::Network stage;
         stage.name = name;
@@ -143,7 +146,7 @@ Partitioner::simulateStage(CutTable &table, int first, int last) const
 
 CutTable
 Partitioner::cutTable(const dnn::Network &network, int max_stages,
-                      int batch) const
+                      int batch, npusim::SimCache *cache) const
 {
     network.check();
     if (max_stages < 1)
@@ -161,6 +164,7 @@ Partitioner::cutTable(const dnn::Network &network, int max_stages,
 
     CutTable table;
     table.network = &network;
+    table.cache = cache ? cache : _cache;
     table.batch = batch;
     table.maxStages = k;
     table.layerHashes.reserve(n);
@@ -176,7 +180,8 @@ Partitioner::cutTable(const dnn::Network &network, int max_stages,
     // whole-network simulation lookup).
     table.timings = _timings.getOrCompute(
         {table.networkHash, batch}, [&] {
-            return buildTimings(network, table.networkHash, batch);
+            return buildTimings(*table.cache, network,
+                                table.networkHash, batch);
         });
     const std::vector<double> &prefix = table.timings->prefix;
     const std::vector<double> &link_after = table.timings->linkAfter;
@@ -196,9 +201,17 @@ Partitioner::cutTable(const dnn::Network &network, int max_stages,
         int *cut = &table.cut[(std::size_t)s * n];
         std::fill(dp.begin(), dp.end(), kInf);
         for (int j = s - 1; j < n; ++j) {
-            for (int i = s - 2; i < j; ++i) {
-                double cost = std::max(prev[i], seg_cost(i + 1, j));
-                if (cost < dp[j]) {
+            // The last cut i scans downward. The last segment only
+            // grows as i falls (prefix sums never decrease), so once
+            // it alone exceeds the best bottleneck no lower cut can
+            // win. `<=` keeps the lowest cut among equal costs, as an
+            // upward scan with `<` does.
+            for (int i = j - 1; i >= s - 2; --i) {
+                const double last = seg_cost(i + 1, j);
+                if (last > dp[j])
+                    break;
+                const double cost = std::max(prev[i], last);
+                if (cost <= dp[j]) {
                     dp[j] = cost;
                     cut[j] = i;
                 }

@@ -160,6 +160,8 @@ struct PartitionPlan
 struct CutTable
 {
     const dnn::Network *network = nullptr; ///< not owned
+    /** Where the table's simulations go; not owned. */
+    npusim::SimCache *cache = nullptr;
     int batch = 1;
     int maxStages = 0;
     /** npusim::hashLayer of every layer of the network. */
@@ -205,10 +207,11 @@ class Partitioner
     /**
      * Solve the cut DP of `network` at `batch` once for every stage
      * count up to `max_stages`, which is clamped to the layer count
-     * with a warn() when it exceeds it.
+     * with a warn() when it exceeds it. The table's simulations go
+     * through `cache`, or the partitioner's own cache when null.
      */
     CutTable cutTable(const dnn::Network &network, int max_stages,
-                      int batch) const;
+                      int batch, npusim::SimCache *cache = nullptr) const;
 
     /**
      * The optimal `stages`-way plan read off `table`
@@ -246,13 +249,14 @@ class Partitioner
   private:
     /** Cached whole-network simulation under a precomputed hash. */
     std::shared_ptr<const npusim::SimResult>
-    simulate(std::uint64_t network_hash, const dnn::Network &network,
-             int batch) const;
+    simulate(npusim::SimCache &cache, std::uint64_t network_hash,
+             const dnn::Network &network, int batch) const;
     /** Cached simulation of layers [first, last] as a stage. */
     std::shared_ptr<const npusim::SimResult>
     simulateStage(CutTable &table, int first, int last) const;
     /** Derive the cut-search inputs (one memoized simulation). */
-    LayerTimings buildTimings(const dnn::Network &network,
+    LayerTimings buildTimings(npusim::SimCache &cache,
+                              const dnn::Network &network,
                               std::uint64_t network_hash,
                               int batch) const;
 

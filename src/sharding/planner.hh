@@ -27,18 +27,32 @@
  *
  * The planner enumerates every (R, T, K) with R·T·K ≤ budget in
  * lexicographic order and keeps the best under the objective; ties
- * keep the earlier triple, so results are deterministic. Work is
- * grouped by (R, T): a group shards, simulates the solo baseline and
- * solves one partition cut DP to its largest K once, then reads
- * every K's plan off that table. The groups fan out across a
- * common/parallel ThreadPool: candidates land in enumeration order
- * regardless of scheduling (parallelMap slot order, flattened in
- * group order) and every shared structure the groups touch
- * (npusim::SimCache, the partitioner's LayerTimingCache, the link
- * model's warn dedup) is single-flight or mutexed with
- * scheduling-independent accounting, so `jobs` is a pure wall-clock
- * knob — the search output and its ledgers are byte-identical to
- * the serial walk at any job count.
+ * keep the earlier triple, so results are deterministic. It does
+ * each distinct piece of work once:
+ *
+ *  - Classes. Two T values give the same shard network when
+ *    ceil(outChannels/T) agrees on every layer, and the shard
+ *    network's name carries no T, so its simulation keys — whole
+ *    network and every stage range — agree too. A class is one
+ *    (shard geometry, replica share) pair. It builds its shard
+ *    network once, solves one cut DP to the deepest K of any member
+ *    and reads one PartitionPlan per K off it. Each member (R, T)
+ *    adds only its own TP all-reduce overlay (T) and DP gather (R).
+ *    Stage ranges are keyed by their own layers, so two geometries
+ *    that agree on layers i..j also share that stage's simulation.
+ *  - Compact rows. PlanSearch::evaluated holds one PlanRow per
+ *    triple: the degrees and the cycle counts the objective ranks.
+ *    The winner alone is rebuilt in full by evaluate().
+ *
+ * The classes fan out across a common/parallel ThreadPool and write
+ * their members' rows into fixed slots, so the row list is the
+ * serial walk's at any job count. The search's simulations go
+ * through an unbounded SimCache it owns and drops at the end: a
+ * bounded cache would evict in thread order and make its tallies
+ * depend on `jobs`. The planner's own cache sees only the winner's
+ * rebuild, which runs serially, so `jobs` is a pure wall-clock knob
+ * — the search output and its ledgers are byte-identical to the
+ * serial walk at any job count.
  */
 
 #ifndef SUPERNPU_SHARDING_PLANNER_HH
@@ -63,6 +77,40 @@ enum class PlanObjective
 };
 
 const char *planObjectiveName(PlanObjective objective);
+
+/**
+ * The largest chip budget plan() searches. Enumeration, rows and the
+ * class table all grow with the budget, so a larger one is rejected
+ * by fatal() before anything is enumerated.
+ */
+constexpr int kMaxPlanChips = 1 << 16;
+
+/**
+ * One searched (R, T, K) candidate: the degrees and the cycle counts
+ * the objective ranks, without a plan's per-stage vectors. Its
+ * seconds and throughput are computed exactly as ShardPlan's.
+ */
+struct PlanRow
+{
+    int dataParallel = 1;   ///< R
+    int tensorShards = 1;   ///< T
+    int pipelineStages = 1; ///< K
+    int batch = 1;          ///< total batch across the group
+    double frequencyGhz = 0.0;
+    std::uint64_t intervalCycles = 0;
+    std::uint64_t latencyCycles = 0;
+    std::uint64_t tensorCollectiveCycles = 0;
+    std::uint64_t gatherCycles = 0;
+
+    int chips() const
+    {
+        return dataParallel * tensorShards * pipelineStages;
+    }
+    double intervalSec() const;
+    double latencySec() const;
+    /** Steady-state inferences/sec of the group. */
+    double throughput() const;
+};
 
 /** One evaluated DP×TP×PP placement of a network on a budget. */
 struct ShardPlan
@@ -126,6 +174,8 @@ struct ShardPlan
      */
     double speedup() const;
     double effectiveMacPerSec() const;
+    /** The candidate row this plan ranks as in a search. */
+    PlanRow row() const;
 };
 
 /** Planner search output: the winner plus every candidate. */
@@ -134,11 +184,13 @@ struct PlanSearch
     PlanObjective objective = PlanObjective::Throughput;
     int chipBudget = 1;
     /** Every (R,T,K) with R·T·K ≤ budget, enumeration order. */
-    std::vector<ShardPlan> evaluated;
-    /** Index of the winner in `evaluated`. */
+    std::vector<PlanRow> evaluated;
+    /** Index of the winner in `evaluated`: the first strictly best. */
     int bestIndex = 0;
+    /** evaluate() of evaluated[bestIndex]'s triple. */
+    ShardPlan winner;
 
-    const ShardPlan &best() const { return evaluated[bestIndex]; }
+    const ShardPlan &best() const { return winner; }
 };
 
 /** DP×TP×PP factorization search for one design point. */
@@ -156,9 +208,10 @@ class HybridPlanner
                        int batch) const;
 
     /**
-     * Search every factorization of `chip_budget` chips or fewer.
-     * @param jobs Pool parallelism of the candidate sweep including
-     *        the calling thread; <= 1 runs serially inline, 0 means
+     * Search every factorization of `chip_budget` chips or fewer;
+     * a budget above kMaxPlanChips is a fatal().
+     * @param jobs Pool parallelism of the class sweep including the
+     *        calling thread; <= 1 runs serially inline, 0 means
      *        every hardware thread. Output is byte-identical at any
      *        value.
      */
@@ -183,18 +236,34 @@ class HybridPlanner
 
   private:
     /**
-     * Plans for (R, T, K) at every K in [first_stages, last_stages]
-     * (clamped to the layer count), in K order, sharing one shard,
-     * one solo run and one cut DP. `network_hash` is
-     * npusim::hashNetwork(network). evaluate() is the one-K case.
+     * What every member (R, T) of one class shares: the shard
+     * network's pipeline split at each K in [first, last] (clamped
+     * to the layer count) and the per-layer all-reduce bytes at the
+     * replica share (zero at T = 1).
      */
-    std::vector<ShardPlan> evaluateGroup(const dnn::Network &network,
-                                         std::uint64_t network_hash,
-                                         int data_parallel,
-                                         int tensor_shards,
-                                         int first_stages,
-                                         int last_stages,
-                                         int batch) const;
+    struct ClassSplits
+    {
+        std::vector<std::uint64_t> reduceBytes;
+        std::vector<partition::PartitionPlan> pipelines;
+    };
+
+    /**
+     * Shard `network` T ways and split it at `share`, simulating
+     * through `cache` (null: the planner's cache).
+     */
+    ClassSplits splitClass(const dnn::Network &network,
+                           int tensor_shards, int share,
+                           int first_stages, int last_stages,
+                           npusim::SimCache *cache) const;
+
+    /**
+     * Everything of member (R, T)'s plan that no K changes: degrees,
+     * design point, TP bytes and the DP gather. Leaves the solo
+     * baseline and the pipeline to the caller.
+     */
+    ShardPlan memberBase(const dnn::Network &network, int data_parallel,
+                         int tensor_shards, int batch,
+                         const ClassSplits &splits) const;
 
     TensorSharder _sharder;
     partition::Partitioner _partitioner;

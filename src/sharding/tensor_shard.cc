@@ -49,17 +49,18 @@ shardNetwork(const dnn::Network &network, int shards)
         // path uses — the byte-identity guarantee.
         return network;
     }
+    // The name carries no T: two degrees that split every layer
+    // alike build the same network, and so share its simulation and
+    // every stage range's (the planner groups them into one class).
     dnn::Network shard;
-    shard.name =
-        network.name + "/tp" + std::to_string(shards);
+    shard.name = network.name + "/tp";
     shard.layers.reserve(network.layers.size());
-    const int t = shards;
     for (const dnn::Layer &layer : network.layers) {
         dnn::Layer s = layer;
         // Widest ceil share of the filters; at least one filter per
         // chip even when T exceeds the layer's channel count (the
         // surplus chips idle on that layer).
-        s.outChannels = (layer.outChannels + t - 1) / t;
+        s.outChannels = widestShare(layer.outChannels, shards);
         if (layer.kind == dnn::LayerKind::DepthwiseConv) {
             // Depthwise filters are per-channel: splitting the
             // filters splits the input channels with them, and the
@@ -105,22 +106,10 @@ TensorSharder::shard(const dnn::Network &network, int shards,
         fatal("batch must be at least 1, got ", batch);
 
     const dnn::Network shard_net = shardNetwork(network, shards);
-    const std::uint64_t shard_hash = npusim::hashNetwork(shard_net);
-    return shard(network,
-                 shards == 1 ? shard_hash : npusim::hashNetwork(network),
-                 shard_net, shard_hash, shards, batch);
-}
-
-TensorShardResult
-TensorSharder::shard(const dnn::Network &network,
-                     std::uint64_t network_hash,
-                     const dnn::Network &shard_net,
-                     std::uint64_t shard_hash, int shards,
-                     int batch) const
-{
-    auto wide = simulate(shard_hash, shard_net, batch);
-    auto solo =
-        shards == 1 ? wide : simulate(network_hash, network, batch);
+    auto wide = simulate(npusim::hashNetwork(shard_net), shard_net, batch);
+    auto solo = shards == 1 ? wide
+                            : simulate(npusim::hashNetwork(network),
+                                       network, batch);
 
     TensorShardResult result;
     result.networkName = network.name;

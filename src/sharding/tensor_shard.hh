@@ -103,8 +103,20 @@ struct TensorShardResult
 };
 
 /**
+ * The widest of `shards` near-equal shares of `channels` >= 1 filters:
+ * ceil(channels / shards), and at least one filter per chip.
+ */
+inline int
+widestShare(int channels, int shards)
+{
+    return (channels - 1) / shards + 1;
+}
+
+/**
  * The T-way shard of `network`: every layer's outChannels shrunk to
- * the widest ceil share (depthwise: both channel dims). T=1 returns
+ * the widest ceil share (depthwise: both channel dims), named
+ * `<network>/tp` for every T > 1, so two T values with the same
+ * shares give the same network and the same cache keys. T=1 returns
  * the original object so the cache key — and therefore the ledger —
  * is identical to the unsharded path. T larger than the narrowest
  * layer's channel count leaves idle chips on that layer; the widest
@@ -136,15 +148,6 @@ class TensorSharder
     std::shared_ptr<const npusim::SimResult>
     simulate(std::uint64_t network_hash, const dnn::Network &network,
              int batch) const;
-    /**
-     * shard() of a checked network whose shard network and both
-     * hashes the caller already holds (the planner's (R, T) group).
-     */
-    TensorShardResult shard(const dnn::Network &network,
-                            std::uint64_t network_hash,
-                            const dnn::Network &shard_net,
-                            std::uint64_t shard_hash, int shards,
-                            int batch) const;
 
     npusim::NpuSimulator _sim;
     partition::LinkConfig _link;

@@ -98,7 +98,7 @@ TEST(CheckGenerator, EveryCaseIsValidByConstruction)
 TEST(CheckOracles, CatalogNamesAreStable)
 {
     const std::vector<std::string> &names = oracleNames();
-    EXPECT_EQ(names.size(), 12u);
+    EXPECT_EQ(names.size(), 13u);
     for (const std::string &name : names)
         EXPECT_TRUE(isOracle(name)) << name;
     EXPECT_FALSE(isOracle("bogus-oracle"));

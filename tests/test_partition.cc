@@ -234,6 +234,58 @@ TEST_F(PartitionFixture, EveryDepthIsARowOfTheDeepestTable)
     }
 }
 
+/** The cut rows of an exhaustive upward min-max scan over `t`. */
+std::vector<int>
+fullScanCuts(const LayerTimings &t, int max_stages)
+{
+    const int n = t.layerCount();
+    const auto seg = [&](int i, int j) {
+        return t.prefix[j + 1] - t.prefix[i] + t.linkAfter[j];
+    };
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    std::vector<double> prev(n), dp(n);
+    std::vector<int> cut((std::size_t)(max_stages + 1) * n, -1);
+    for (int j = 0; j < n; ++j)
+        prev[j] = seg(0, j);
+    for (int s = 2; s <= max_stages; ++s) {
+        std::fill(dp.begin(), dp.end(), kInf);
+        for (int j = s - 1; j < n; ++j) {
+            for (int i = s - 2; i < j; ++i) {
+                const double cost = std::max(prev[i], seg(i + 1, j));
+                if (cost < dp[j]) {
+                    dp[j] = cost;
+                    cut[(std::size_t)s * n + j] = i;
+                }
+            }
+        }
+        std::swap(prev, dp);
+    }
+    return cut;
+}
+
+TEST_F(PartitionFixture, PrunedCutScanMatchesTheFullScan)
+{
+    // The DP scans each last cut downward and stops once the last
+    // segment alone loses. Its table must be the exhaustive upward
+    // scan's, lowest cut among equal costs included: ResNet-50 and
+    // MobileNet repeat blocks, and a chain of identical layers ties
+    // nearly every cut.
+    std::string same = "network Same\n";
+    for (int l = 0; l < 12; ++l)
+        same += "conv s" + std::to_string(l) + " 16 16 16 3 1 1\n";
+    Partitioner partitioner(estimate, {}, &cache);
+    for (const dnn::Network &deep :
+         {dnn::makeResNet50(), dnn::makeMobileNet(),
+          dnn::parseNetwork(same)}) {
+        const int n = (int)deep.layers.size();
+        for (int b : {1, npusim::maxBatch(config, estimate, deep)}) {
+            const CutTable table = partitioner.cutTable(deep, n, b);
+            EXPECT_EQ(table.cut, fullScanCuts(*table.timings, n))
+                << deep.name << " at batch " << b;
+        }
+    }
+}
+
 TEST_F(PartitionFixture, StageSimulationIsTheCopiedSubNetworkRun)
 {
     // A stage is keyed as a layer range and built only on a miss,

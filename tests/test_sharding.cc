@@ -163,7 +163,9 @@ TEST(ShardNetwork, SplitsOfmapChannelsByTheCeilShare)
     net.check();
 
     const dnn::Network four = shardNetwork(net, 4);
-    EXPECT_EQ(four.name, "GeomTest/tp4");
+    // No T in the name: every degree with these shares builds the
+    // same network under the same cache keys.
+    EXPECT_EQ(four.name, "GeomTest/tp");
     ASSERT_EQ(four.layers.size(), 2u);
     // 30 channels over 4 shards: the widest holds ceil(30/4) = 8.
     EXPECT_EQ(four.layers[0].outChannels, 8);
@@ -442,11 +444,14 @@ TEST_F(ShardingFixture, PlannerEnumeratesTheWholeBudget)
         planner.plan(net, 4, batch, PlanObjective::Throughput);
     EXPECT_EQ(search.chipBudget, 4);
     EXPECT_FALSE(search.evaluated.empty());
-    for (const ShardPlan &plan : search.evaluated) {
-        EXPECT_LE(plan.chips(), 4);
-        const obs::AuditReport audit = obs::auditSharding(plan);
+    for (const PlanRow &row : search.evaluated) {
+        EXPECT_LE(row.chips(), 4);
+        const obs::AuditReport audit = obs::auditSharding(
+            planner.evaluate(net, row.dataParallel, row.tensorShards,
+                             row.pipelineStages, batch));
         EXPECT_TRUE(audit.ok()) << audit.summary();
     }
+    EXPECT_TRUE(obs::auditSharding(search.best()).ok());
     // The single-chip factorization is always in the space, so the
     // winner can never be worse than it.
     const ShardPlan solo = planner.evaluate(net, 1, 1, 1, batch);
@@ -505,28 +510,29 @@ TEST_F(ShardingFixture, PlansAreDeterministicAcrossFreshCaches)
 TEST_F(ShardingFixture, ParallelPlanIsByteIdenticalToSerial)
 {
     // One cold-cache sweep at a given job count: every evaluated
-    // plan's books, the winner, and both caches' tallies.
+    // row, the winner, and both caches' tallies. A capacity-1 cache
+    // evicts on every search: its tallies must not follow the order
+    // in which threads reach it.
     struct Sweep
     {
         std::string bytes;
         npusim::SimCacheStats sim;
         partition::LayerTimingCacheStats timings;
     };
-    const auto sweep = [&](int jobs) {
-        npusim::SimCache fresh;
+    const auto sweep = [&](int jobs, std::size_t capacity) {
+        npusim::SimCache fresh(capacity);
         HybridPlanner planner(estimate, testLink(), &fresh);
         const PlanSearch search = planner.plan(
             net, 4, batch, PlanObjective::Throughput, jobs);
         std::ostringstream out;
         out.precision(17);
         out << search.bestIndex << '\n';
-        for (const ShardPlan &plan : search.evaluated) {
-            out << plan.dataParallel << ' ' << plan.tensorShards
-                << ' ' << plan.pipelineStages << ' '
-                << plan.intervalCycles << ' ' << plan.latencyCycles
-                << ' ' << plan.tensorCollectiveCycles << ' '
-                << plan.gatherCycles << ' ' << plan.throughput()
-                << '\n';
+        for (const PlanRow &row : search.evaluated) {
+            out << row.dataParallel << ' ' << row.tensorShards << ' '
+                << row.pipelineStages << ' ' << row.intervalCycles
+                << ' ' << row.latencyCycles << ' '
+                << row.tensorCollectiveCycles << ' '
+                << row.gatherCycles << ' ' << row.throughput() << '\n';
         }
         obs::RunLedger ledger;
         obs::addShardPlan(ledger, search.best());
@@ -535,18 +541,26 @@ TEST_F(ShardingFixture, ParallelPlanIsByteIdenticalToSerial)
                      planner.timingCacheStats()};
     };
 
-    const Sweep serial = sweep(1);
-    EXPECT_FALSE(serial.bytes.empty());
-    for (int jobs : {2, 8}) {
-        const Sweep parallel = sweep(jobs);
-        EXPECT_EQ(parallel.bytes, serial.bytes) << "jobs " << jobs;
-        // Single-flight accounting: the fan-out must not change what
-        // either cache counts, or the byte-compared shard ledgers
-        // (which embed these tallies) would differ across --jobs.
-        EXPECT_EQ(parallel.sim.hits, serial.sim.hits);
-        EXPECT_EQ(parallel.sim.misses, serial.sim.misses);
-        EXPECT_EQ(parallel.timings.hits, serial.timings.hits);
-        EXPECT_EQ(parallel.timings.misses, serial.timings.misses);
+    for (std::size_t capacity :
+         {npusim::SimCache::kDefaultMaxEntries, std::size_t{1}}) {
+        SCOPED_TRACE(::testing::Message() << "capacity " << capacity);
+        const Sweep serial = sweep(1, capacity);
+        EXPECT_FALSE(serial.bytes.empty());
+        if (capacity == 1) {
+            EXPECT_GT(serial.sim.evictions, 0u);
+        }
+        for (int jobs : {2, 8}) {
+            const Sweep parallel = sweep(jobs, capacity);
+            EXPECT_EQ(parallel.bytes, serial.bytes) << "jobs " << jobs;
+            // The byte-compared shard ledgers embed these tallies,
+            // so the fan-out must not change what either cache
+            // counts.
+            EXPECT_EQ(parallel.sim.hits, serial.sim.hits);
+            EXPECT_EQ(parallel.sim.misses, serial.sim.misses);
+            EXPECT_EQ(parallel.sim.evictions, serial.sim.evictions);
+            EXPECT_EQ(parallel.timings.hits, serial.timings.hits);
+            EXPECT_EQ(parallel.timings.misses, serial.timings.misses);
+        }
     }
 }
 
@@ -599,37 +613,100 @@ expectSamePlan(const ShardPlan &a, const ShardPlan &b)
     }
 }
 
+/** Every field of two candidate rows agrees. */
+void
+expectSameRow(const PlanRow &a, const PlanRow &b)
+{
+    EXPECT_EQ(a.dataParallel, b.dataParallel);
+    EXPECT_EQ(a.tensorShards, b.tensorShards);
+    EXPECT_EQ(a.pipelineStages, b.pipelineStages);
+    EXPECT_EQ(a.batch, b.batch);
+    EXPECT_EQ(a.frequencyGhz, b.frequencyGhz);
+    EXPECT_EQ(a.intervalCycles, b.intervalCycles);
+    EXPECT_EQ(a.latencyCycles, b.latencyCycles);
+    EXPECT_EQ(a.tensorCollectiveCycles, b.tensorCollectiveCycles);
+    EXPECT_EQ(a.gatherCycles, b.gatherCycles);
+    EXPECT_EQ(a.throughput(), b.throughput());
+    EXPECT_EQ(a.latencySec(), b.latencySec());
+}
+
 TEST_F(ShardingFixture, GroupedSearchMatchesPerTripleEvaluation)
 {
-    // plan() evaluates each (R, T) once and reads every K off one
-    // cut table; each candidate must be exactly what a standalone
-    // evaluate() of its triple builds — down to the stage SimResult
-    // objects, which on a shared cache are the same entries.
+    // plan() evaluates each (shard geometry, replica share) class
+    // once and reads every member's K off one cut table; each row
+    // must be exactly what a standalone evaluate() of its triple
+    // ranks as, and best() must be that evaluate() in full — down to
+    // the stage SimResult objects, which on the planner's cache are
+    // the same entries.
     const dnn::Network deep = dnn::makeResNet18();
     for (int jobs : {1, 4}) {
         npusim::SimCache shared(0);
         HybridPlanner planner(estimate, testLink(), &shared);
         const PlanSearch search = planner.plan(
             deep, 16, 8, PlanObjective::Throughput, jobs);
-        const std::size_t misses = shared.stats().misses;
         std::size_t triples = 0;
         for (int r = 1; r <= 8; ++r)
             for (int t = 1; r * t <= 16; ++t)
                 triples += (std::size_t)std::min(
                     16 / (r * t), (int)deep.layers.size());
         ASSERT_EQ(search.evaluated.size(), triples);
-        for (const ShardPlan &grouped : search.evaluated) {
+        const PlanRow &winner = search.evaluated[search.bestIndex];
+        for (std::size_t i = 0; i < search.evaluated.size(); ++i) {
+            const PlanRow &row = search.evaluated[i];
             SCOPED_TRACE(::testing::Message()
-                         << "jobs " << jobs << " R=" << grouped.dataParallel
-                         << " T=" << grouped.tensorShards
-                         << " K=" << grouped.pipelineStages);
-            expectSamePlan(grouped,
-                           planner.evaluate(deep, grouped.dataParallel,
-                                            grouped.tensorShards,
-                                            grouped.pipelineStages, 8));
+                         << "jobs " << jobs << " R=" << row.dataParallel
+                         << " T=" << row.tensorShards
+                         << " K=" << row.pipelineStages);
+            expectSameRow(row,
+                          planner
+                              .evaluate(deep, row.dataParallel,
+                                        row.tensorShards,
+                                        row.pipelineStages, 8)
+                              .row());
+            // The winner is the first strictly best row.
+            if ((int)i < search.bestIndex)
+                EXPECT_LT(row.throughput(), winner.throughput());
+            else
+                EXPECT_LE(row.throughput(), winner.throughput());
         }
-        // The standalone evaluations found everything cached.
+        // The planner's cache saw only the winner's rebuild, so a
+        // standalone evaluate() of its triple finds it all cached.
+        const std::size_t misses = shared.stats().misses;
+        expectSamePlan(search.best(),
+                       planner.evaluate(deep, winner.dataParallel,
+                                        winner.tensorShards,
+                                        winner.pipelineStages, 8));
         EXPECT_EQ(shared.stats().misses, misses);
+    }
+}
+
+TEST_F(ShardingFixture, EqualSharesCostOneCutTable)
+{
+    // Every channel count is at most 4, so T = 4 and T = 5 both give
+    // every layer one filter: one shard network, one class, one cut
+    // table. Budget 5 at batch 1 has five (R, T) groups (R = 1,
+    // T = 1..5) in four classes: T = 1, 2, 3 and {4, 5}.
+    const dnn::Network tiny = dnn::parseNetwork("network Narrow\n"
+                                                "conv c1 3 16 4 3 1 1\n"
+                                                "conv c2 4 16 3 3 1 1\n");
+    EXPECT_EQ(npusim::hashNetwork(shardNetwork(tiny, 4)),
+              npusim::hashNetwork(shardNetwork(tiny, 5)));
+    EXPECT_NE(npusim::hashNetwork(shardNetwork(tiny, 3)),
+              npusim::hashNetwork(shardNetwork(tiny, 4)));
+
+    HybridPlanner planner(estimate, testLink(), &cache);
+    const PlanSearch search =
+        planner.plan(tiny, 5, 1, PlanObjective::Throughput);
+    EXPECT_EQ(planner.timingCacheStats().misses, 4u);
+
+    // The members of the shared class still differ by their own
+    // all-reduce: each row is its own triple's evaluate().
+    for (const PlanRow &row : search.evaluated) {
+        expectSameRow(row, planner
+                               .evaluate(tiny, row.dataParallel,
+                                         row.tensorShards,
+                                         row.pipelineStages, 1)
+                               .row());
     }
 }
 
