@@ -30,6 +30,28 @@ NpuEstimate::areaMm2At(double feature_nm) const
     return areaMm2 * ratio * ratio;
 }
 
+namespace {
+
+/**
+ * fatal() unless a shift-register buffer of `capacity_bytes` over
+ * `rows` rows (one per PE along `dimension`) holds at least one
+ * `bit_width` entry per row: its row and chunk lengths, which the
+ * timing model reads, would otherwise be zero.
+ */
+void
+requireRowEntry(const char *buffer, std::uint64_t capacity_bytes,
+                const char *dimension, int rows, int bit_width)
+{
+    const std::uint64_t entry_bytes = (std::uint64_t)bit_width / 8;
+    if (capacity_bytes / (std::uint64_t)rows < entry_bytes) {
+        fatal("PE ", dimension, " ", rows, " leaves the ", buffer,
+              " buffer (", capacity_bytes, " bytes) less than one ",
+              bit_width, "-bit entry per row");
+    }
+}
+
+} // namespace
+
 NpuEstimator::NpuEstimator(const sfq::CellLibrary &lib)
     : _lib(lib)
 {
@@ -39,6 +61,14 @@ NpuEstimate
 NpuEstimator::estimate(const NpuConfig &config) const
 {
     config.check();
+    // The two buffers whose row geometry the timing model reads.
+    requireRowEntry("ifmap", config.ifmapBufferBytes, "height",
+                    config.peHeight, config.bitWidth);
+    requireRowEntry(config.integratedOutputBuffer ? "output" : "psum",
+                    config.integratedOutputBuffer
+                        ? config.outputBufferBytes
+                        : config.psumBufferBytes,
+                    "width", config.peWidth, config.bitWidth);
 
     NpuEstimate est;
     est.config = config;

@@ -84,32 +84,15 @@ AuditReport auditServing(const serving::ServingReport &report);
 AuditReport auditPipeline(const partition::PipelineResult &result);
 
 /**
- * Audit a data-parallel replica-group run: the wide share's
- * SimResult, compute + gather == total cycle conservation, a
- * zero-cost gather (and total == solo) at R=1, and the DP speedup
- * bounded by R — splitting a batch R ways can never win more than R.
- */
-AuditReport auditSharding(const sharding::ReplicaGroupResult &result);
-
-/**
- * Audit a tensor-parallel shard run: the wide shard's SimResult,
- * per-layer shard/reduce cycles and bytes rolling up exactly to the
- * totals, shard + collective == total, zero collectives (and
- * total == solo) at T=1, and group MAC throughput bounded by T
- * chips' peak rate (the speedup itself may exceed T when sharding
- * drops whole weight mappings).
- */
-AuditReport auditSharding(const sharding::TensorShardResult &result);
-
-/**
  * Audit a hybrid DP×TP×PP plan: every pipeline stage's SimResult,
  * the TP overlay rolling up (Σ stage collective == tensor
  * collective, stage occupancy == pipeline occupancy + overlay),
  * bottleneck == max overlaid occupancy with fill == Σ, interval ==
  * max(bottleneck, gather) and latency == fill + gather, zero
- * collectives at degree 1, and group MAC throughput bounded by
- * R·T·K chips' peak rate (the speedup itself may exceed R·T·K when
- * sharding drops whole weight mappings).
+ * collectives at degree 1, the speedup bounded by R when T = K = 1
+ * and the batch fits on chip, and group MAC throughput bounded by R·T·K chips' peak rate (the
+ * speedup itself may exceed R·T·K when sharding drops whole weight
+ * mappings).
  */
 AuditReport auditSharding(const sharding::ShardPlan &plan);
 

@@ -74,6 +74,13 @@ Partitioner::simulate(npusim::SimCache &cache,
     return cache.getOrRun(key, _sim, network);
 }
 
+std::shared_ptr<const npusim::SimResult>
+Partitioner::solo(const dnn::Network &network, int batch) const
+{
+    return simulate(*_cache, npusim::hashNetwork(network), network,
+                    batch);
+}
+
 LayerTimings
 Partitioner::buildTimings(npusim::SimCache &cache,
                           const dnn::Network &network,

@@ -229,6 +229,14 @@ class Partitioner
     PartitionPlan partition(const dnn::Network &network, int stages,
                             int batch) const;
 
+    /**
+     * The whole of `network` at `batch` on one chip, through the
+     * partitioner's own cache: the single-chip baseline a
+     * multi-chip plan is measured against.
+     */
+    std::shared_ptr<const npusim::SimResult>
+    solo(const dnn::Network &network, int batch) const;
+
     const estimator::NpuEstimate &estimate() const
     {
         return _sim.estimate();

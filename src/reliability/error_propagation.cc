@@ -139,8 +139,11 @@ propagateErrors(const dnn::Network &network,
                 double flips_per_million_macs, std::uint64_t seed)
 {
     network.check();
-    SUPERNPU_ASSERT(flips_per_million_macs >= 0,
-                    "flip rate must be non-negative");
+    if (!(flips_per_million_macs >= 0 &&
+          flips_per_million_macs <= kMaxFlipsPerMillionMacs)) {
+        fatal("flip rate must be in [0, ", kMaxFlipsPerMillionMacs,
+              "] flips per million MACs, got ", flips_per_million_macs);
+    }
 
     Rng weight_rng(seed);
     const functional::InferencePipeline pipeline =

@@ -66,11 +66,18 @@ struct ErrorPropagationReport
 bool canPropagate(const dnn::Network &network);
 
 /**
+ * The highest flip rate propagateErrors() accepts: one flip per MAC.
+ * Each flip is injected one by one, so the bound also caps the work.
+ */
+constexpr double kMaxFlipsPerMillionMacs = 1e6;
+
+/**
  * Run one input through the network twice — clean and with pulse
  * drops injected at `flips_per_million_macs` into every layer's raw
  * conv output — and report the per-layer activation divergence.
  * A rate of 0 injects nothing and every layer reports zero error.
- * The network must satisfy canPropagate().
+ * A negative, non-finite or above-kMaxFlipsPerMillionMacs rate is a
+ * fatal(). The network must satisfy canPropagate().
  */
 ErrorPropagationReport
 propagateErrors(const dnn::Network &network,

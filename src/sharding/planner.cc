@@ -9,8 +9,10 @@
 #include <map>
 #include <utility>
 
+#include "collective.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
+#include "npusim/batch.hh"
 #include "perf/profile.hh"
 
 namespace supernpu {
@@ -164,8 +166,7 @@ ShardPlan::row() const
 HybridPlanner::HybridPlanner(const estimator::NpuEstimate &estimate,
                              partition::LinkConfig link,
                              npusim::SimCache *cache)
-    : _sharder(estimate, link, cache),
-      _partitioner(estimate, link, cache)
+    : _partitioner(estimate, link, cache)
 {
 }
 
@@ -215,11 +216,11 @@ HybridPlanner::memberBase(const dnn::Network &network,
     plan.batch = batch;
     plan.replicaShare = (batch + data_parallel - 1) / data_parallel;
     plan.frequencyGhz = split.frequencyGhz;
-    plan.link = _sharder.link();
+    plan.link = _partitioner.link();
     for (std::uint64_t bytes : splits.reduceBytes)
         plan.tensorCollectiveBytes =
             saturatingAdd(plan.tensorCollectiveBytes, bytes);
-    plan.peakMacPerSec = _sharder.estimate().peakMacPerSec;
+    plan.peakMacPerSec = _partitioner.estimate().peakMacPerSec;
 
     // DP gather of the full batch's final outputs across replicas.
     if (data_parallel > 1) {
@@ -261,10 +262,11 @@ HybridPlanner::evaluate(const dnn::Network &network,
 
     // The documented baseline is the FULL batch on one chip, not the
     // replica share. Cache-hit for R=1 (share == batch) and T=1.
-    const auto solo =
-        _sharder.simulate(npusim::hashNetwork(network), network, batch);
+    const auto solo = _partitioner.solo(network, batch);
     plan.soloCycles = solo->totalCycles;
     plan.macOpsPerBatch = solo->macOps;
+    plan.onChipBatch =
+        npusim::maxBatch(estimate().config, estimate(), network);
 
     plan.pipeline = std::move(splits.pipelines.front());
     overlayCollectives(plan.pipeline,

@@ -63,7 +63,6 @@
 #include <vector>
 
 #include "partition/partitioner.hh"
-#include "replica_group.hh"
 #include "tensor_shard.hh"
 
 namespace supernpu {
@@ -122,6 +121,12 @@ struct ShardPlan
     int pipelineStages = 1; ///< K (after the partitioner's clamp)
     int batch = 1;          ///< total batch across the group
     int replicaShare = 1;   ///< ceil(batch/R) per replica
+    /**
+     * The design point's all-fit batch (npusim::maxBatch). Up to it
+     * cycles are subadditive in batch, so a pure-DP plan's speedup
+     * is at most R; a larger, spilling batch can beat R.
+     */
+    int onChipBatch = 1;
     double frequencyGhz = 0.0;
     partition::LinkConfig link;
 
@@ -221,11 +226,11 @@ class HybridPlanner
 
     const estimator::NpuEstimate &estimate() const
     {
-        return _sharder.estimate();
+        return _partitioner.estimate();
     }
     const partition::LinkConfig &link() const
     {
-        return _sharder.link();
+        return _partitioner.link();
     }
 
     /** The shared partitioner's layer-timing memo counters. */
@@ -265,7 +270,6 @@ class HybridPlanner
                          int tensor_shards, int batch,
                          const ClassSplits &splits) const;
 
-    TensorSharder _sharder;
     partition::Partitioner _partitioner;
 };
 

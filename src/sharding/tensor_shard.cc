@@ -1,6 +1,6 @@
 /**
  * @file
- * Tensor-parallel shard construction and timing.
+ * Tensor-parallel shard construction.
  */
 
 #include "tensor_shard.hh"
@@ -20,33 +20,14 @@ saturatingAdd(std::uint64_t a, std::uint64_t b)
     return a > kMax - b ? kMax : a + b;
 }
 
-double
-TensorShardResult::seconds() const
-{
-    return (double)totalCycles / (frequencyGhz * 1e9);
-}
-
-double
-TensorShardResult::speedup() const
-{
-    SUPERNPU_ASSERT(totalCycles > 0, "result not built");
-    return (double)soloCycles / (double)totalCycles;
-}
-
-double
-TensorShardResult::effectiveMacPerSec() const
-{
-    return (double)macOpsPerBatch / seconds();
-}
-
 dnn::Network
 shardNetwork(const dnn::Network &network, int shards)
 {
     SUPERNPU_ASSERT(shards >= 1, "shard count must be positive");
     if (shards == 1) {
-        // Degree 1: the original object, so the simulation below
-        // hits (or seeds) the exact cache entry the single-chip
-        // path uses — the byte-identity guarantee.
+        // Degree 1: the original object, so its simulation hits
+        // (or seeds) the exact cache entry the single-chip path
+        // uses — the byte-identity guarantee.
         return network;
     }
     // The name carries no T: two degrees that split every layer
@@ -71,85 +52,6 @@ shardNetwork(const dnn::Network &network, int shards)
     }
     shard.check();
     return shard;
-}
-
-TensorSharder::TensorSharder(const estimator::NpuEstimate &estimate,
-                             partition::LinkConfig link,
-                             npusim::SimCache *cache)
-    : _sim(estimate), _link(link),
-      _cache(cache ? cache : &npusim::SimCache::global()),
-      _configHash(npusim::hashEstimate(estimate))
-{
-    _link.check();
-}
-
-std::shared_ptr<const npusim::SimResult>
-TensorSharder::simulate(std::uint64_t network_hash,
-                        const dnn::Network &network, int batch) const
-{
-    npusim::SimKey key;
-    key.networkHash = network_hash;
-    key.configHash = _configHash;
-    key.batch = batch;
-    return _cache->getOrRun(key, _sim, network);
-}
-
-TensorShardResult
-TensorSharder::shard(const dnn::Network &network, int shards,
-                     int batch) const
-{
-    network.check();
-    if (shards < 1)
-        fatal("tensor parallelism needs at least 1 shard, got ",
-              shards);
-    if (batch < 1)
-        fatal("batch must be at least 1, got ", batch);
-
-    const dnn::Network shard_net = shardNetwork(network, shards);
-    auto wide = simulate(npusim::hashNetwork(shard_net), shard_net, batch);
-    auto solo = shards == 1 ? wide
-                            : simulate(npusim::hashNetwork(network),
-                                       network, batch);
-
-    TensorShardResult result;
-    result.networkName = network.name;
-    result.configName = wide->configName;
-    result.shards = shards;
-    result.batch = batch;
-    result.frequencyGhz = wide->frequencyGhz;
-    result.link = _link;
-    result.wideSim = wide;
-    result.soloCycles = solo->totalCycles;
-    result.macOpsPerBatch = solo->macOps;
-    result.peakMacPerSec = _sim.estimate().peakMacPerSec;
-
-    const int n = (int)network.layers.size();
-    result.layers.reserve(n);
-    for (int l = 0; l < n; ++l) {
-        ShardLayerTiming timing;
-        timing.layerName = network.layers[l].name;
-        timing.shardCycles = wide->layers[l].totalCycles();
-        if (shards > 1) {
-            timing.reduceBytes = partition::activationBytes(
-                network.layers[l], batch);
-            timing.reduceCycles =
-                allReduceCost(_link, shards, timing.reduceBytes,
-                              result.frequencyGhz)
-                    .cycles;
-        }
-        result.shardCycles += timing.shardCycles;
-        result.collectiveBytes =
-            saturatingAdd(result.collectiveBytes, timing.reduceBytes);
-        result.collectiveCycles = saturatingAdd(
-            result.collectiveCycles, timing.reduceCycles);
-        result.layers.push_back(std::move(timing));
-    }
-    result.totalCycles =
-        saturatingAdd(result.shardCycles, result.collectiveCycles);
-    SUPERNPU_ASSERT(result.shardCycles == wide->totalCycles,
-                    "per-layer shard cycles must roll up to the "
-                    "wide shard's total");
-    return result;
 }
 
 } // namespace sharding

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "dnn/networks.hh"
 #include "dnn/parser.hh"
 #include "estimator/npu_estimator.hh"
@@ -311,6 +313,22 @@ TEST(ErrorPropagation, ZeroRateMeansZeroError)
         EXPECT_EQ(layer.wrongOutputs, 0u);
         EXPECT_EQ(layer.maxAbsError, 0);
     }
+}
+
+TEST(ErrorPropagationDeath, OutOfRangeRatesAreFatal)
+{
+    const dnn::Network net =
+        dnn::parseNetwork("network Seq\n"
+                          "conv c1  3 16 16 3 1 1\n"
+                          "conv c2 16 16 16 3 1 1\n");
+    // One flip per MAC is the ceiling, and it still runs. Just past
+    // it the rate is rejected; the overshoot is small, so a lost
+    // bound fails the test instead of injecting for hours.
+    EXPECT_GT(propagateErrors(net, kMaxFlipsPerMillionMacs).totalFlips(),
+              0u);
+    for (double rate : {-1.0, std::nan(""), 2 * kMaxFlipsPerMillionMacs})
+        EXPECT_EXIT((void)propagateErrors(net, rate),
+                    ::testing::ExitedWithCode(1), "flip rate");
 }
 
 TEST(ErrorPropagation, FlipsCorruptDeterministically)

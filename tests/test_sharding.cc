@@ -30,7 +30,6 @@
 #include "serving/simulator.hh"
 #include "sharding/collective.hh"
 #include "sharding/planner.hh"
-#include "sharding/replica_group.hh"
 #include "sharding/tensor_shard.hh"
 
 namespace supernpu {
@@ -234,41 +233,6 @@ class ShardingFixture : public ::testing::Test
 
 // --- degree-1 identity -----------------------------------------------
 
-TEST_F(ShardingFixture, SingleShardSharesTheSingleChipCacheEntry)
-{
-    TensorSharder sharder(estimate, testLink(), &cache);
-    const TensorShardResult one = sharder.shard(net, 1, batch);
-    EXPECT_EQ(one.collectiveCycles, 0u);
-    EXPECT_EQ(one.collectiveBytes, 0u);
-    EXPECT_EQ(one.totalCycles, one.soloCycles);
-
-    // The strong form: T=1 simulated the ORIGINAL network, so the
-    // cache hands back the very same SimResult object the direct
-    // single-chip path gets — byte-identical ledgers follow.
-    npusim::NpuSimulator sim(estimate);
-    const auto direct = cache.getOrRun(sim, net, batch);
-    EXPECT_EQ(one.wideSim.get(), direct.get());
-
-    obs::RunLedger sharded, reference;
-    obs::addSimResult(sharded, *one.wideSim);
-    obs::addSimResult(reference, *direct);
-    EXPECT_EQ(sharded.json(), reference.json());
-}
-
-TEST_F(ShardingFixture, SingleReplicaSharesTheSingleChipCacheEntry)
-{
-    ReplicaGroup group(estimate, testLink(), &cache);
-    const ReplicaGroupResult one = group.run(net, 1, batch);
-    EXPECT_EQ(one.gatherCycles, 0u);
-    EXPECT_EQ(one.gatherBytes, 0u);
-    EXPECT_EQ(one.totalCycles, one.soloCycles);
-    EXPECT_EQ(one.wideShare, batch);
-
-    npusim::NpuSimulator sim(estimate);
-    const auto direct = cache.getOrRun(sim, net, batch);
-    EXPECT_EQ(one.wideSim.get(), direct.get());
-}
-
 TEST_F(ShardingFixture, DegreeOnePlanReproducesTheSingleChipRun)
 {
     HybridPlanner planner(estimate, testLink(), &cache);
@@ -286,54 +250,106 @@ TEST_F(ShardingFixture, DegreeOnePlanReproducesTheSingleChipRun)
     EXPECT_EQ(plan.pipeline.stages[0].sim.get(), direct.get());
 }
 
+TEST_F(ShardingFixture, SingleShardSharesTheSingleChipCacheEntry)
+{
+    HybridPlanner planner(estimate, testLink(), &cache);
+    const ShardPlan one = planner.evaluate(net, 1, 1, 1, batch);
+    EXPECT_EQ(one.tensorShards, 1);
+    EXPECT_EQ(one.tensorCollectiveCycles, 0u);
+    EXPECT_EQ(one.tensorCollectiveBytes, 0u);
+    EXPECT_EQ(one.latencyCycles, one.soloCycles);
+
+    // The strong form: T=1 simulated the ORIGINAL network, so the
+    // cache hands back the very same SimResult object the direct
+    // single-chip path gets — byte-identical ledgers follow.
+    npusim::NpuSimulator sim(estimate);
+    const auto direct = cache.getOrRun(sim, net, batch);
+    ASSERT_EQ(one.pipeline.stageCount(), 1);
+    EXPECT_EQ(one.pipeline.stages[0].sim.get(), direct.get());
+
+    obs::RunLedger sharded, reference;
+    obs::addSimResult(sharded, *one.pipeline.stages[0].sim);
+    obs::addSimResult(reference, *direct);
+    EXPECT_EQ(sharded.json(), reference.json());
+}
+
+TEST_F(ShardingFixture, SingleReplicaSharesTheSingleChipCacheEntry)
+{
+    HybridPlanner planner(estimate, testLink(), &cache);
+    const ShardPlan one = planner.evaluate(net, 1, 1, 1, batch);
+    EXPECT_EQ(one.dataParallel, 1);
+    EXPECT_EQ(one.gatherCycles, 0u);
+    EXPECT_EQ(one.gatherBytes, 0u);
+    EXPECT_EQ(one.intervalCycles, one.soloCycles);
+    EXPECT_EQ(one.replicaShare, batch);
+
+    npusim::NpuSimulator sim(estimate);
+    const auto direct = cache.getOrRun(sim, net, batch);
+    ASSERT_EQ(one.pipeline.stageCount(), 1);
+    EXPECT_EQ(one.pipeline.stages[0].sim.get(), direct.get());
+}
+
 // --- sharded runs and audits -----------------------------------------
 
-TEST_F(ShardingFixture, TensorShardResultPassesTheAudit)
+TEST_F(ShardingFixture, TensorShardedPlanPassesTheAudit)
 {
-    TensorSharder sharder(estimate, testLink(), &cache);
+    HybridPlanner planner(estimate, testLink(), &cache);
     for (int t : {1, 2, 4}) {
-        const TensorShardResult result = sharder.shard(net, t, batch);
-        const obs::AuditReport audit = obs::auditSharding(result);
+        const ShardPlan plan = planner.evaluate(net, 1, t, 1, batch);
+        const obs::AuditReport audit = obs::auditSharding(plan);
         EXPECT_TRUE(audit.ok()) << "T=" << t << "\n" << audit.summary();
-        EXPECT_LE(result.speedup(), (double)t + 1e-9);
+        EXPECT_LE(plan.speedup(), (double)t + 1e-9);
         if (t > 1) {
-            EXPECT_GT(result.collectiveCycles, 0u);
+            EXPECT_GT(plan.tensorCollectiveCycles, 0u);
             // Every layer all-reduces its full ofmap.
-            for (const auto &layer : result.layers)
-                EXPECT_GT(layer.reduceBytes, 0u);
+            std::uint64_t bytes = 0;
+            for (const dnn::Layer &layer : net.layers) {
+                const std::uint64_t ofmap =
+                    partition::activationBytes(layer, batch);
+                EXPECT_GT(ofmap, 0u) << layer.name;
+                bytes = saturatingAdd(bytes, ofmap);
+            }
+            EXPECT_EQ(plan.tensorCollectiveBytes, bytes);
         }
     }
 }
 
-TEST_F(ShardingFixture, ReplicaGroupResultPassesTheAudit)
+TEST_F(ShardingFixture, DataParallelPlanPassesTheAudit)
 {
-    ReplicaGroup group(estimate, testLink(), &cache);
+    HybridPlanner planner(estimate, testLink(), &cache);
     for (int r : {1, 2, 4}) {
-        const ReplicaGroupResult result = group.run(net, r, batch);
-        const obs::AuditReport audit = obs::auditSharding(result);
+        const ShardPlan plan = planner.evaluate(net, r, 1, 1, batch);
+        const obs::AuditReport audit = obs::auditSharding(plan);
         EXPECT_TRUE(audit.ok()) << "R=" << r << "\n" << audit.summary();
-        EXPECT_LE(result.speedup(), (double)r + 1e-9);
-        EXPECT_EQ(result.wideShare, (batch + r - 1) / r);
+        EXPECT_LE(plan.speedup(), (double)r + 1e-9);
+        EXPECT_EQ(plan.replicaShare, (batch + r - 1) / r);
+        // The replica runs the widest share of the batch.
+        EXPECT_EQ(plan.pipeline.stages[0].sim->batch, plan.replicaShare);
     }
 }
 
 TEST_F(ShardingFixture, ReplicasClampToTheBatch)
 {
-    ReplicaGroup group(estimate, testLink(), &cache);
-    const ReplicaGroupResult tiny = group.run(net, 64, 3);
-    EXPECT_EQ(tiny.replicas, 3);
-    EXPECT_EQ(tiny.wideShare, 1);
+    HybridPlanner planner(estimate, testLink(), &cache);
+    const ShardPlan tiny = planner.evaluate(net, 64, 1, 1, 3);
+    EXPECT_EQ(tiny.dataParallel, 3);
+    EXPECT_EQ(tiny.replicaShare, 1);
 }
 
 TEST_F(ShardingFixture, AuditCatchesCookedShardBooks)
 {
-    TensorSharder sharder(estimate, testLink(), &cache);
-    TensorShardResult cooked = sharder.shard(net, 2, batch);
-    cooked.totalCycles -= 1; // books no longer balance
+    HybridPlanner planner(estimate, testLink(), &cache);
+    ShardPlan cooked = planner.evaluate(net, 1, 2, 1, batch);
+    ASSERT_TRUE(obs::auditSharding(cooked).ok());
+    cooked.tensorCollectiveCycles -= 1; // books no longer balance
     EXPECT_FALSE(obs::auditSharding(cooked).ok());
+}
 
-    ReplicaGroup group(estimate, testLink(), &cache);
-    ReplicaGroupResult inflated = group.run(net, 2, batch);
+TEST_F(ShardingFixture, AuditCatchesAnInflatedDataParallelBaseline)
+{
+    HybridPlanner planner(estimate, testLink(), &cache);
+    ShardPlan inflated = planner.evaluate(net, 2, 1, 1, batch);
+    ASSERT_TRUE(obs::auditSharding(inflated).ok());
     inflated.soloCycles *= 3; // claims a speedup beyond R
     EXPECT_FALSE(obs::auditSharding(inflated).ok());
 }
@@ -379,16 +395,10 @@ class SuperlinearFixture : public ::testing::Test
 
 TEST_F(SuperlinearFixture, MappingQuantizationBeatsLinearSpeedup)
 {
-    TensorSharder sharder(estimate, testLink(), &cache);
-    const TensorShardResult two = sharder.shard(net, 2, 1);
-    EXPECT_GT(two.speedup(), 2.0);
-    EXPECT_GT(two.peakMacPerSec, 0.0);
-    const obs::AuditReport tensor_audit = obs::auditSharding(two);
-    EXPECT_TRUE(tensor_audit.ok()) << tensor_audit.summary();
-
     HybridPlanner planner(estimate, testLink(), &cache);
     const ShardPlan plan = planner.evaluate(net, 1, 2, 1, 1);
     EXPECT_GT(plan.speedup(), 2.0);
+    EXPECT_GT(plan.peakMacPerSec, 0.0);
     const obs::AuditReport plan_audit = obs::auditSharding(plan);
     EXPECT_TRUE(plan_audit.ok()) << plan_audit.summary();
 }
@@ -398,11 +408,6 @@ TEST_F(SuperlinearFixture, MacThroughputCeilingStillCatchesCookedBooks)
     // The speedup bound is gone; the replacement conservation law —
     // a group can't beat chips() x per-chip peak MAC rate — must
     // still have teeth against inflated MAC books.
-    TensorSharder sharder(estimate, testLink(), &cache);
-    TensorShardResult two = sharder.shard(net, 2, 1);
-    two.macOpsPerBatch *= 1000000;
-    EXPECT_FALSE(obs::auditSharding(two).ok());
-
     HybridPlanner planner(estimate, testLink(), &cache);
     ShardPlan plan = planner.evaluate(net, 1, 2, 1, 1);
     plan.macOpsPerBatch *= 1000000;
@@ -426,12 +431,6 @@ TEST_F(ShardingFixture, PlanBaselineIsTheFullBatchSoloRun)
     EXPECT_EQ(plan.soloCycles, direct->totalCycles);
     EXPECT_EQ(plan.macOpsPerBatch, direct->macOps);
     EXPECT_GT(plan.speedup(), 1.0);
-
-    // And it matches ReplicaGroup's books for the same placement.
-    ReplicaGroup group(estimate, testLink(), &cache);
-    const ReplicaGroupResult dp = group.run(net, 2, batch);
-    EXPECT_EQ(plan.soloCycles, dp.soloCycles);
-    EXPECT_EQ(plan.macOpsPerBatch, dp.macOpsPerBatch);
 
     const obs::AuditReport audit = obs::auditSharding(plan);
     EXPECT_TRUE(audit.ok()) << audit.summary();

@@ -94,7 +94,8 @@
  *   --max-retries <n>       retry budget per request
  *   --backoff-us <n>        first retry backoff
  *   --checkpoint            checkpoint/restart killed batches
- *   --ber <n>               bit flips per million MACs (error study)
+ *   --ber <n>               bit flips per million MACs (error study;
+ *                           at most 1e6, one flip per MAC)
  *   --sweep                 also run the fault grid: the run's rates
  *                           scaled by 0, 1, 4 and 16 against the
  *                           none, retry, retry+ckpt and degraded
@@ -117,6 +118,10 @@
  *   --objective throughput|latency   planner ranking
  *   --sweep                 also print a budget-scaling table;
  *                           --ledger gains it as table "sweep"
+ *
+ * A placement flag a command never reads is a fatal, not a no-op:
+ * faults takes none of --stages/--dp/--tp/--link-*, partition no
+ * --dp/--tp, and serve no --tp.
  *
  * Bench options (bench; --jobs defaults to 1 here, the byte-stable
  * reference point):
@@ -146,7 +151,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
+#include <set>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -229,6 +236,8 @@ struct Options
     double benchThreshold = 10.0; ///< --threshold allowed slowdown %
     double benchInjectSlowdown = 0.0; ///< --inject-slowdown test hook
     std::vector<std::string> benchOnly; ///< --case selections
+
+    std::set<std::string> given; ///< every --flag on the command line
 };
 
 std::string
@@ -322,6 +331,8 @@ parseOptions(int argc, char **argv, int first, Options &options)
     std::vector<std::string> positional;
     for (int i = first; i < argc; ++i) {
         const std::string arg = argv[i];
+        if (arg.rfind("--", 0) == 0)
+            options.given.insert(arg);
         auto next = [&]() -> std::string {
             if (i + 1 >= argc)
                 fatal("option '", arg, "' needs a value");
@@ -480,7 +491,10 @@ parseOptions(int argc, char **argv, int first, Options &options)
         } else if (arg == "--checkpoint") {
             options.serve.resilience.checkpointRestart = true;
         } else if (arg == "--ber") {
-            options.berFlipsPerMillion = next_real(0.0);
+            // One flip per MAC at most: each flip is injected one
+            // by one, so a larger rate would never finish.
+            options.berFlipsPerMillion = numberOption<double>(
+                arg, next(), 0.0, reliability::kMaxFlipsPerMillionMacs);
         } else if (arg == "--stages") {
             options.stages = next_int(1);
         } else if (arg == "--dp") {
@@ -626,6 +640,22 @@ int
 serialJobs(const Options &options)
 {
     return options.jobs > 0 ? options.jobs : 1;
+}
+
+/**
+ * fatal() on any of `flags` given to `command`, which never reads
+ * them: a placement flag dropped in silence prints a run the user
+ * did not ask for.
+ */
+void
+rejectIgnoredFlags(const Options &options, const char *command,
+                   std::initializer_list<const char *> flags)
+{
+    for (const char *flag : flags) {
+        if (options.given.count(flag))
+            fatal("option '", flag, "' has no effect on '", command,
+                  "'");
+    }
 }
 
 int
@@ -803,6 +833,7 @@ cmdBatch(const Options &options, const dnn::Network &net)
 int
 cmdServe(const Options &options, const dnn::Network &net)
 {
+    rejectIgnoredFlags(options, "serve", {"--tp"});
     // Reject the documented-unsupported combination up front,
     // before any model building: there is no per-stage checkpoint
     // model, so checkpoint-restart cannot pipeline.
@@ -913,6 +944,9 @@ cmdServe(const Options &options, const dnn::Network &net)
 int
 cmdFaults(const Options &options, const dnn::Network &net)
 {
+    rejectIgnoredFlags(options, "faults",
+                       {"--stages", "--dp", "--tp", "--link-gbps",
+                        "--link-latency"});
     const sfq::DeviceConfig device = deviceFor(options);
     sfq::CellLibrary library(device);
     estimator::NpuEstimator est(library);
@@ -1140,6 +1174,7 @@ cmdFaults(const Options &options, const dnn::Network &net)
 int
 cmdPartition(const Options &options, const dnn::Network &net)
 {
+    rejectIgnoredFlags(options, "partition", {"--dp", "--tp"});
     const sfq::DeviceConfig device = deviceFor(options);
     sfq::CellLibrary library(device);
     estimator::NpuEstimator est(library);
@@ -1634,6 +1669,7 @@ usage(std::FILE *to = stderr)
                  "         --arrival poisson|bursty|closed\n"
                  "         --timeout-us --requests --clients --seed\n"
                  "         --stages <k> (pipeline groups of k chips)\n"
+                 "         --dp <r> (replica groups of r chips)\n"
                  "         --sweep (p99 vs offered load table)\n"
                  "faults:  --drop-rate --trap-rate --skew-rate\n"
                  "         --glitch-rate --fault-burst --fault-seed\n"
